@@ -32,7 +32,11 @@ from ..sim.messages import Message, StoredCopy
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .g2g_base import Give2GetBase, RelayPlan, _SourceRecord
-from .proofs import make_quality_declaration, verify_quality_declaration
+from .proofs import (
+    QualityDeclaration,
+    make_quality_declaration,
+    verify_quality_declaration,
+)
 
 #: How many failed declarations ride with each message (the paper
 #: embeds "the last two").
@@ -115,13 +119,10 @@ class G2GDelegationForwarding(Give2GetBase):
         )
         if declared_value != true_value:
             self.ctx.results.record_deviation(taker.node_id, message)
-        declaration = make_quality_declaration(
-            self.identities[taker.node_id],
-            quality_subject,
-            declared_value,
-            frame,
-            now,
-        )
+        # Every candidate signs its FQ_RESP and pays for it here.  The
+        # signed object is built only where a giver's record keeps it
+        # (below); no one reads the others, and signing draws no
+        # randomness, so not building them changes no result.
         self._charge_signature(taker.node_id)
         if taker.node_id == destination:
             # Delivery is unconditional; the camouflage declaration
@@ -131,7 +132,6 @@ class G2GDelegationForwarding(Give2GetBase):
                 message_quality=copy.quality,
                 taker_quality=declared_value,
                 attachments=list(copy.attachments),
-                declaration=declaration,
             )
         # The giver may present a lowered label (the cheat).
         label = giver.strategy.forwarded_message_quality(
@@ -139,38 +139,49 @@ class G2GDelegationForwarding(Give2GetBase):
         )
         if label != copy.quality:
             self.ctx.results.record_deviation(giver.node_id, message)
+        record = self._sources[giver.node_id].get(message.msg_id)
         if not self.tracker.better(declared_value, label):
             # Candidate failed.  A *source* records the signed failure
             # for the destination's liar test.
-            record = self._sources[giver.node_id].get(message.msg_id)
             if (
                 record is not None
                 and record.is_source
                 and declared_value < label
             ):
-                record.failed_declarations.append(declaration)
+                record.failed_declarations.append(make_quality_declaration(
+                    self.identities[taker.node_id],
+                    quality_subject,
+                    declared_value,
+                    frame,
+                    now,
+                ))
             return None
+        # The giver's record keeps this declaration as the anchor of
+        # the cheater check; under ``testers="any_giver"`` every giver
+        # gets a record at hand-off.
+        declaration: Optional[QualityDeclaration] = None
+        if record is not None or self.testers == "any_giver":
+            declaration = make_quality_declaration(
+                self.identities[taker.node_id],
+                quality_subject,
+                declared_value,
+                frame,
+                now,
+            )
+        # The source embeds its latest failed declarations; relays pass
+        # through whatever arrived with their copy.
+        if record is not None and record.is_source:
+            attachments = record.failed_declarations[-EMBEDDED_DECLARATIONS:]
+        else:
+            attachments = list(copy.attachments)
         return RelayPlan(
             quality_subject=quality_subject,
             message_quality=label,
             taker_quality=declared_value,
             new_copy_quality=declared_value,
-            attachments=self._outgoing_attachments(giver, copy, message),
+            attachments=attachments,
             declaration=declaration,
         )
-
-    def _outgoing_attachments(
-        self, giver: NodeState, copy: StoredCopy, message: Message
-    ) -> List[Any]:
-        """Declarations riding with the forwarded replica.
-
-        The source embeds its latest failed declarations; relays pass
-        through whatever arrived with their copy.
-        """
-        record = self._sources[giver.node_id].get(message.msg_id)
-        if record is not None and record.is_source:
-            return list(record.failed_declarations[-EMBEDDED_DECLARATIONS:])
-        return list(copy.attachments)
 
     def _after_relay(
         self,

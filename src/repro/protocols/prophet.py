@@ -109,21 +109,13 @@ class ProphetForwarding(ForwardingProtocol):
     def on_contact_start(self, a: NodeId, b: NodeId, now: float) -> None:
         self._update_on_encounter(a, b, now)
         node_a, node_b = self.ctx.node(a), self.ctx.node(b)
-        self._purge_expired(node_a, now)
-        self._purge_expired(node_b, now)
+        results = self.ctx.results
+        node_a.purge_expired(now, results)
+        node_b.purge_expired(now, results)
         for giver, taker in ((node_a, node_b), (node_b, node_a)):
             self._offer(giver, taker, now)
 
     # -- internals ------------------------------------------------------
-
-    def _purge_expired(self, node: NodeState, now: float) -> None:
-        expired = [
-            msg_id
-            for msg_id, copy in node.buffer.items()
-            if not copy.message.alive_at(now)
-        ]
-        for msg_id in expired:
-            node.drop(msg_id, now, self.ctx.results)
 
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         results = self.ctx.results

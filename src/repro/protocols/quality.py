@@ -88,7 +88,11 @@ class QualityTracker:
         self._records: Dict[FrozenSet[NodeId], _PairRecord] = {}
 
     def _record(self, a: NodeId, b: NodeId) -> _PairRecord:
-        return self._records.setdefault(frozenset((a, b)), _PairRecord())
+        key = frozenset((a, b))
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = _PairRecord()
+        return record
 
     def frame_of(self, now: float) -> int:
         """Index of the frame containing ``now``."""

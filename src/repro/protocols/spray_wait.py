@@ -75,13 +75,7 @@ class SprayAndWaitForwarding(ForwardingProtocol):
     # -- internals ------------------------------------------------------
 
     def _purge_expired(self, node: NodeState, now: float) -> None:
-        expired = [
-            msg_id
-            for msg_id, copy in node.buffer.items()
-            if not copy.message.alive_at(now)
-        ]
-        for msg_id in expired:
-            node.drop(msg_id, now, self.ctx.results)
+        for msg_id in node.purge_expired(now, self.ctx.results):
             self._tokens.pop(self._token_key(node.node_id, msg_id), None)
 
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:

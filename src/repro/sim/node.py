@@ -467,6 +467,24 @@ class NodeState:
         if self._relayable.pop(msg_id, None) is not None:
             self._index_discard(msg_id, copy.message.expires_at)
 
+    def purge_expired(
+        self, now: float, results: SimulationResults
+    ) -> List[int]:
+        """Drop every copy past its TTL; returns the dropped ids.
+
+        A full scan in buffer order, which fixes the order the drops
+        settle memory accounting in.  The baseline protocols call it
+        for both peers at every contact start.
+        """
+        expired = [
+            msg_id
+            for msg_id, copy in self.buffer.items()
+            if not copy.message.alive_at(now)
+        ]
+        for msg_id in expired:
+            self.drop(msg_id, now, results)
+        return expired
+
     def flush(self, now: float, results: SimulationResults) -> None:
         """Settle accounting and clear the buffer (eviction/run end)."""
         self._settle_memory(now, results)

@@ -10,6 +10,9 @@ import pytest
 
 from repro.adversaries import Cheater, Dropper, Liar
 from repro.core import G2GDelegationForwarding
+from repro.core import g2g_delegation
+from repro.core.proofs import verify_quality_declaration
+from repro.perf import COUNTERS
 from repro.sim import Simulation, SimulationConfig
 from repro.sim.messages import Message
 from repro.traces import ContactTrace
@@ -245,6 +248,112 @@ class TestCheaterDetection:
         meet(protocol, S, 1, 600.0)   # test with both PoRs
         assert ctx.results.delivered == 1
         assert ctx.results.detections == []
+
+
+class TestLazyDeclaration:
+    """Only the FQ_RESP declarations a source record keeps are signed;
+    every negotiation still charges the candidate one signature."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+        real = g2g_delegation.make_quality_declaration
+
+        def counting(*args, **kwargs):
+            declaration = real(*args, **kwargs)
+            made.append(declaration)
+            return declaration
+
+        monkeypatch.setattr(g2g_delegation, "make_quality_declaration", counting)
+        return made
+
+    def relay_holding_copy(self):
+        """Node 1 holds a relayed copy labelled 60; it keeps no record."""
+        protocol, ctx = harness()
+        meet(protocol, S, D, 20.0)
+        meet(protocol, 1, D, 60.0)
+        inject(protocol, ctx, source=S, destination=D, created=120.0)
+        meet(protocol, S, 1, 150.0)
+        assert 0 not in protocol._sources[1]
+        return protocol, ctx
+
+    def test_relay_held_failure_builds_nothing_but_charges(self, built):
+        protocol, ctx = self.relay_holding_copy()
+        relay, candidate = ctx.node(1), ctx.node(2)
+        before_energy = ctx.results.energy.get(2, 0.0)
+        before_signatures = COUNTERS.signatures
+        del built[:]
+        # Node 2 never met D: it declares 0 < 60 and fails.
+        plan = protocol._negotiate(relay, candidate, relay.buffer[0], 170.0)
+        assert plan is None
+        assert built == []
+        assert COUNTERS.signatures == before_signatures
+        assert ctx.results.energy[2] == (
+            before_energy + ctx.config.energy.signature
+        )
+
+    def test_relay_held_acceptance_builds_nothing(self, built):
+        protocol, ctx = self.relay_holding_copy()
+        meet(protocol, 2, D, 90.0)
+        del built[:]
+        relay = ctx.node(1)
+        plan = protocol._negotiate(relay, ctx.node(2), relay.buffer[0], 170.0)
+        assert plan is not None and plan.declaration is None
+        assert built == []
+
+    def test_destination_camouflage_not_built(self, built):
+        protocol, ctx = harness()
+        inject(protocol, ctx, source=S, destination=D, created=120.0)
+        source = ctx.node(S)
+        plan = protocol._negotiate(source, ctx.node(D), source.buffer[0], 150.0)
+        assert plan is not None and plan.declaration is None
+        assert built == []
+
+    def test_source_held_failure_is_signed_and_verifies(self, built):
+        protocol, ctx = harness()
+        meet(protocol, S, D, 20.0)
+        inject(protocol, ctx, source=S, destination=D, created=120.0)
+        before_signatures = COUNTERS.signatures
+        meet(protocol, S, 1, 150.0)  # node 1 declares 0 < 20: fails
+        (declaration,) = protocol._sources[S][0].failed_declarations
+        assert built == [declaration]
+        assert COUNTERS.signatures == before_signatures + 1
+        assert declaration.value < 20.0
+        assert verify_quality_declaration(
+            protocol.identities[D],
+            protocol.identities[1].certificate,
+            declaration,
+        )
+
+    def test_source_held_acceptance_anchors_chain(self, built):
+        protocol, ctx = harness()
+        meet(protocol, 1, D, 30.0)
+        inject(protocol, ctx, source=S, destination=D, created=120.0)
+        meet(protocol, S, 1, 150.0)
+        kept = protocol._sources[S][0].taker_declarations[1]
+        assert built == [kept]
+        assert kept.declarant == 1 and kept.destination == D
+
+    def test_liars_convicted_end_to_end(self, mini_synthetic):
+        cfg = SimulationConfig(
+            run_length=2 * 3600.0, silent_tail=1800.0,
+            mean_interarrival=60.0, ttl=1500.0, seed=4,
+            quality_timeframe=600.0, heavy_hmac_iterations=2,
+        )
+        liars = {3, 7}
+        protocol = G2GDelegationForwarding("frequency")
+        results = Simulation(
+            mini_synthetic.trace, protocol, cfg,
+            strategies={node: Liar() for node in liars},
+        ).run()
+        assert {d.offender for d in results.detections} == liars
+        assert {d.deviation for d in results.detections} == {"liar"}
+        for pom in protocol.ctx.blacklist.poms:
+            assert verify_quality_declaration(
+                protocol.identities[pom.detector],
+                protocol.identities[pom.offender].certificate,
+                pom.evidence,
+            )
 
 
 class TestDropperDetection:

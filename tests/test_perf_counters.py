@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.g2g_delegation import G2GDelegationForwarding
 from repro.core.g2g_epidemic import G2GEpidemicForwarding
 from repro.perf import COUNTERS, OpCounters
+from repro.perf.bench import results_digest
 from repro.sim import Simulation
 
 
@@ -43,6 +45,26 @@ BATCHED_VERIFY_PINS = {
     "cert_checks": 84,
     "cert_cache_hits": 912,
 }
+
+
+#: Op counts of the same run under honest G2G Delegation (last
+#: contact).  Only the FQ_RESP declarations a source record keeps are
+#: signed, so ``signatures``/``encodings`` are upper budgets; the
+#: relay-phase work and the verifications are exact.
+DELEGATION_BUDGET = {
+    "signatures": 833,
+    "encodings": 909,
+}
+DELEGATION_PINS = {
+    "verifications": 408,
+    "relay_entries": 1198,
+    "relay_handoffs": 236,
+}
+#: Results digest of the delegation budget run: building fewer
+#: declarations must not change a single result.
+DELEGATION_DIGEST = (
+    "e439e99b26787143e2645630602bf7f7266b547fdbdac900e6ff6f918cc9bc2a"
+)
 
 
 @pytest.fixture
@@ -147,3 +169,27 @@ class TestHotPathBudgets:
         _, results = budget_run
         assert results.delivered > 0
         assert results.success_rate > 0.5
+
+
+class TestDelegationBudget:
+    @pytest.fixture
+    def delegation_run(self, mini_synthetic, quick_config):
+        before = COUNTERS.snapshot()
+        results = Simulation(
+            mini_synthetic.trace, G2GDelegationForwarding(), quick_config
+        ).run()
+        return COUNTERS.diff(before), results
+
+    def test_signature_and_encoding_budget(self, delegation_run):
+        diff, _ = delegation_run
+        for field, budget in DELEGATION_BUDGET.items():
+            assert diff[field] <= budget, field
+
+    def test_exact_relay_and_verify_counts(self, delegation_run):
+        diff, _ = delegation_run
+        for field, expected in DELEGATION_PINS.items():
+            assert diff[field] == expected, field
+
+    def test_results_digest_unchanged(self, delegation_run):
+        _, results = delegation_run
+        assert results_digest(results) == DELEGATION_DIGEST
