@@ -54,7 +54,6 @@ from .proofs import (
     open_message,
     random_seed,
     seal_message,
-    verify_proof_of_relay,
     verify_proofs_of_relay,
     verify_storage_proof,
 )
@@ -166,7 +165,10 @@ class _SourceRecord:
     tested: Set[NodeId] = field(default_factory=set)
     # Delegation: taker -> the quality declaration given at hand-off.
     taker_declarations: Dict[NodeId, Any] = field(default_factory=dict)
-    # Delegation: signed declarations of candidates that failed.
+    # Delegation: the last two candidates that failed, each kept as the
+    # unsigned inputs ``(identity, D', value, frame, time)`` of its
+    # declaration until a hand-off embeds it, then as the signed
+    # declaration.
     failed_declarations: List[Any] = field(default_factory=list)
 
 
@@ -464,6 +466,7 @@ class Give2GetBase(ForwardingProtocol):
         giver_id = giver.node_id
         relay_fanout = self._relay_fanout
         source_fanout = self._source_fanout
+        negotiate = self._negotiate
         # Collect-then-verify: each hand-off appends its PoR here and
         # the whole offer is checked with one batched provider call
         # below.  Deferring is sound because nothing in the loop reads
@@ -487,7 +490,16 @@ class Give2GetBase(ForwardingProtocol):
                 or taker.evicted or taker.departed or taker.depleted
             ):
                 break
-            self._relay_one(giver, taker, copy, now, pending)
+            # Steps 1-2: every strategy answers RELAY_RQST truthfully
+            # (declining without knowing the destination is never
+            # rational, Sec. IV-C), so the seen-filter above stands
+            # for it; then the negotiation.  Most delegation
+            # candidates are rejected there, so the relay phase
+            # proper is entered only on acceptance.
+            COUNTERS.relay_entries += 1
+            plan = negotiate(giver, taker, copy, now)
+            if plan is not None:
+                self._relay_one(giver, taker, copy, now, pending, plan)
             if self._budgeted:
                 ctx = self.ctx
                 ctx.check_energy(giver_id, now)
@@ -500,29 +512,20 @@ class Give2GetBase(ForwardingProtocol):
                 "was forged, which the simulation's threat model forbids"
             )
 
-    def _fanout_cap(self, giver: NodeState, copy: StoredCopy) -> float:
-        """Relay cap for this holder: give-2 for relays, wider for the
-        source ("the first two (at least) nodes it meets")."""
-        config = self.ctx.config
-        if copy.message.source == giver.node_id:
-            cap = config.source_fanout
-            return float("inf") if cap is None else cap
-        return config.relay_fanout
-
     def _relay_one(
         self,
         giver: NodeState,
         taker: NodeState,
         copy: StoredCopy,
         now: float,
-        pending: Optional[List[Tuple[Certificate, ProofOfRelay]]] = None,
-    ) -> bool:
-        """Run the full relay phase for one copy; True on hand-off.
+        pending: List[Tuple[Certificate, ProofOfRelay]],
+        plan: RelayPlan,
+    ) -> None:
+        """Run the relay phase for one copy whose negotiation accepted.
 
-        With ``pending`` (the batched path driven by :meth:`_offer`)
-        the giver's PoR check is appended there and verified in one
-        provider call per offer; without it (direct callers, unit
-        tests) the PoR verifies inline exactly as before.
+        Called by :meth:`_offer` only, after the seen-filter and
+        :meth:`_negotiate`; the giver's PoR check is appended to
+        ``pending`` and verified in one provider call per offer.
         """
         ctx = self.ctx
         results = ctx.results
@@ -532,21 +535,11 @@ class Give2GetBase(ForwardingProtocol):
         giver_id = giver.node_id
         taker_id = taker.node_id
         identities = self.identities
-        COUNTERS.relay_entries += 1
-        # Step 1-2: RELAY_RQST / RELAY_OK.  The honest answer to "have
-        # you handled H(m)?" — declining without knowing the
-        # destination is never rational (Sec. IV-C), so every strategy
-        # answers truthfully.  (The offer scan pre-filters against the
-        # taker's seen set; this guard keeps direct callers safe.)
-        if msg_id in taker.seen:
-            return False
-        plan = self._negotiate(giver, taker, copy, now)
-        if plan is None:
-            return False
         declaration = plan.declaration
         results.relay_attempts += 1
         # The handshake span covers steps 3-5 (body transfer, PoR,
-        # key reveal); negotiation rejections above never open one.
+        # key reveal); negotiation rejections in ``_offer`` never
+        # open one.
         spans = ctx.telemetry.spans
         relay_span = spans.begin(now)
         # Step 3: RELAY, E_k(m) — the body crosses the air.
@@ -579,14 +572,7 @@ class Give2GetBase(ForwardingProtocol):
             taker_quality=plan.taker_quality,
         )
         energy_acct[taker_id] = energy_get(taker_id, 0.0) + self._sig_cost
-        if pending is not None:
-            pending.append((taker_identity.certificate, por))
-        elif not verify_proof_of_relay(
-            identities[giver_id],
-            taker_identity.certificate,
-            por,
-        ):  # pragma: no cover - honest takers always produce valid PoRs
-            return False
+        pending.append((taker_identity.certificate, por))
         energy_acct[giver_id] = energy_get(giver_id, 0.0) + self._ver_cost
         copy.proofs.append(por)
         copy.relays.append(taker_id)
@@ -636,7 +622,7 @@ class Give2GetBase(ForwardingProtocol):
             spans.end(SPAN_DESTINATION_TEST, dest_span, now)
             COUNTERS.relay_handoffs += 1
             spans.end(SPAN_RELAY_HANDSHAKE, relay_span, now)
-            return True
+            return
         # "Label both messages with the forwarding quality of node B":
         # the giver's surviving copy adopts the taker's declared
         # quality (a no-op for the epidemic variant).
@@ -676,7 +662,6 @@ class Give2GetBase(ForwardingProtocol):
                     actor=taker_id, subject=giver_id,
                 )
         spans.end(SPAN_RELAY_HANDSHAKE, relay_span, now)
-        return True
 
     # -- the test phase ---------------------------------------------------
 

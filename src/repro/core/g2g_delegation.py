@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from ..adversaries.base import Strategy
 from ..crypto.provider import CryptoProvider
 from ..protocols.base import SimulationContext
 from ..protocols.quality import FRAME_TIMER_TAG, QualityTracker
@@ -105,26 +106,37 @@ class G2GDelegationForwarding(Give2GetBase):
     ) -> Optional[RelayPlan]:
         message = copy.message
         destination = message.destination
+        giver_id = giver.node_id
+        taker_id = taker.node_id
+        results = self.ctx.results
         # D': the true destination, or camouflage when the candidate
         # is the destination itself.
-        if taker.node_id == destination:
-            quality_subject = self._camouflage_subject(taker.node_id)
+        if taker_id == destination:
+            quality_subject = self._camouflage_subject(taker_id)
         else:
             quality_subject = destination
         true_value, frame = self.tracker.completed(
-            taker.node_id, quality_subject, now
+            taker_id, quality_subject, now
         )
-        declared_value = taker.strategy.declared_quality(
-            taker.node_id, quality_subject, true_value, giver.node_id, now
-        )
-        if declared_value != true_value:
-            self.ctx.results.record_deviation(taker.node_id, message)
+        # The base Strategy hooks answer truthfully; checked by type so
+        # honest nodes skip the hook calls.
+        strategy = taker.strategy
+        if type(strategy).declared_quality is Strategy.declared_quality:
+            declared_value = true_value
+        else:
+            declared_value = strategy.declared_quality(
+                taker_id, quality_subject, true_value, giver_id, now
+            )
+            if declared_value != true_value:
+                results.record_deviation(taker_id, message)
         # Every candidate signs its FQ_RESP and pays for it here.  The
         # signed object is built only where a giver's record keeps it
-        # (below); no one reads the others, and signing draws no
-        # randomness, so not building them changes no result.
-        self._charge_signature(taker.node_id)
-        if taker.node_id == destination:
+        # and reads it (below); signing draws no randomness, so not
+        # building the others, or building one later, changes no
+        # result.
+        energy = results.energy
+        energy[taker_id] = energy.get(taker_id, 0.0) + self._sig_cost
+        if taker_id == destination:
             # Delivery is unconditional; the camouflage declaration
             # plays no role in the forwarding decision.
             return RelayPlan(
@@ -134,46 +146,61 @@ class G2GDelegationForwarding(Give2GetBase):
                 attachments=list(copy.attachments),
             )
         # The giver may present a lowered label (the cheat).
-        label = giver.strategy.forwarded_message_quality(
-            giver.node_id, message, copy.quality, taker.node_id, now
-        )
-        if label != copy.quality:
-            self.ctx.results.record_deviation(giver.node_id, message)
-        record = self._sources[giver.node_id].get(message.msg_id)
+        label = copy.quality
+        strategy = giver.strategy
+        if (
+            type(strategy).forwarded_message_quality
+            is not Strategy.forwarded_message_quality
+        ):
+            label = strategy.forwarded_message_quality(
+                giver_id, message, label, taker_id, now
+            )
+            if label != copy.quality:
+                results.record_deviation(giver_id, message)
+        record = self._sources[giver_id].get(message.msg_id)
         if not self.tracker.better(declared_value, label):
-            # Candidate failed.  A *source* records the signed failure
-            # for the destination's liar test.
+            # Candidate failed.  A *source* keeps the failure for the
+            # destination's liar test: only the last two are ever
+            # embedded, so it keeps the unsigned inputs of those two
+            # and signs them when a hand-off first carries them.
             if (
                 record is not None
                 and record.is_source
                 and declared_value < label
             ):
-                record.failed_declarations.append(make_quality_declaration(
-                    self.identities[taker.node_id],
+                failed = record.failed_declarations
+                failed.append((
+                    self.identities[taker_id],
                     quality_subject,
                     declared_value,
                     frame,
                     now,
                 ))
+                if len(failed) > EMBEDDED_DECLARATIONS:
+                    del failed[0]
             return None
+        # The source embeds its latest failed declarations; relays pass
+        # through whatever arrived with their copy.
+        if record is not None and record.is_source:
+            failed = record.failed_declarations
+            for index, entry in enumerate(failed):
+                if isinstance(entry, tuple):
+                    failed[index] = make_quality_declaration(*entry)
+            attachments = list(failed)
+        else:
+            attachments = list(copy.attachments)
         # The giver's record keeps this declaration as the anchor of
         # the cheater check; under ``testers="any_giver"`` every giver
         # gets a record at hand-off.
         declaration: Optional[QualityDeclaration] = None
         if record is not None or self.testers == "any_giver":
             declaration = make_quality_declaration(
-                self.identities[taker.node_id],
+                self.identities[taker_id],
                 quality_subject,
                 declared_value,
                 frame,
                 now,
             )
-        # The source embeds its latest failed declarations; relays pass
-        # through whatever arrived with their copy.
-        if record is not None and record.is_source:
-            attachments = record.failed_declarations[-EMBEDDED_DECLARATIONS:]
-        else:
-            attachments = list(copy.attachments)
         return RelayPlan(
             quality_subject=quality_subject,
             message_quality=label,

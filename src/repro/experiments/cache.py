@@ -158,8 +158,12 @@ class RunCache:
     def put(self, key: str, results: SimulationResults) -> None:
         """Atomically archive one run under its key."""
         path = self.path_for(key)
+        # Compact separators keep CPython on its C encoder (``indent``
+        # forces the pure-Python one).  ``sort_keys`` stays: a cache
+        # hit re-sums the energy ledger in file key order, so the key
+        # order is part of what a hit returns.
         payload = json.dumps(
-            results_to_dict(results), indent=1, sort_keys=True
+            results_to_dict(results), sort_keys=True, separators=(",", ":")
         )
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:12]}-", suffix=".tmp", dir=str(self._dir)

@@ -30,7 +30,7 @@ FIELDS = (
     "encoding_cache_hits",   # payload()/wire_bytes() served from cache
     "cert_checks",           # certificate-chain validations performed
     "cert_cache_hits",       # chain validations skipped via the cert cache
-    "relay_entries",         # _relay_one invocations (post seen-filter)
+    "relay_entries",         # negotiations entered by _offer (post seen-filter)
     "relay_handoffs",        # relays that completed with a hand-off
     "buffer_scans",          # relay-candidate scans over a node buffer
     "buffer_scanned",        # copies inspected across all buffer scans

@@ -161,9 +161,12 @@ class QualityTracker:
         Returns ``(value, frame_index)``; the value is 0.0 when no
         frame has completed yet.
         """
-        frame = self.frame_of(now)
+        # One call per negotiation: ``frame_of`` and the no-op roll of
+        # an up-to-date record are inlined.
+        frame = int(now // self.timeframe)
         record = self._record(node, destination)
-        record.roll(frame)
+        if frame > record.last_frame:
+            record.roll(frame)
         if frame == 0:
             return 0.0, -1
         return record.snapshots.get(frame - 1, record.current), frame - 1

@@ -251,8 +251,6 @@ class Simulation:
             default_owner=self.protocol,
             events=events,
         )
-        for node in nodes.values():
-            node.attach_scheduler(scheduler)
         return SimulationContext(
             config=self.config,
             nodes=nodes,

@@ -49,7 +49,6 @@ from ..adversaries.base import HONEST, Strategy
 from ..crypto.keys import NodeIdentity
 from ..perf.counters import COUNTERS
 from ..traces.trace import NodeId
-from .events import Scheduler
 from .messages import Message, StoredCopy
 from .results import SimulationResults
 
@@ -355,15 +354,6 @@ class NodeState:
             )
         self.buffer = SpillableBuffer(self, spill, keep)
         self._spill_enabled = True
-
-    def attach_scheduler(self, scheduler: Scheduler) -> None:
-        """Engine-setup hook, kept for call-site compatibility.
-
-        The TTL index is self-contained (a sorted expiry array swept
-        at query time), so nodes no longer register per-copy timers on
-        the run scheduler — this is now a no-op for every caller,
-        engine-driven or hand-built.
-        """
 
     @property
     def participating(self) -> bool:

@@ -15,6 +15,7 @@ from repro.core.proofs import verify_quality_declaration
 from repro.perf import COUNTERS
 from repro.sim import Simulation, SimulationConfig
 from repro.sim.messages import Message
+from repro.telemetry.spans import SPAN_RELAY_HANDSHAKE
 from repro.traces import ContactTrace
 
 
@@ -99,10 +100,28 @@ class TestNegotiation:
         protocol, ctx = harness()
         meet(protocol, S, D, 20.0)
         inject(protocol, ctx, source=S, destination=D, created=120.0)
+        before_signatures = COUNTERS.signatures
         meet(protocol, S, 1, 150.0)  # node 1 fails (0 < 20)
         record = protocol._sources[S][0]
         assert len(record.failed_declarations) == 1
-        assert record.failed_declarations[0].declarant == 1
+        # Kept as the unsigned declaration inputs until a hand-off
+        # embeds it: nothing is signed at failure time.
+        declarant, subject, value, frame, declared_at = (
+            record.failed_declarations[0]
+        )
+        assert declarant.node_id == 1
+        assert (subject, value, frame, declared_at) == (D, 0.0, 0, 150.0)
+        assert COUNTERS.signatures == before_signatures
+
+    def test_rejection_opens_no_relay_handshake(self):
+        protocol, ctx = harness()
+        meet(protocol, S, D, 20.0)
+        inject(protocol, ctx, source=S, destination=D, created=120.0)
+        before_entries = COUNTERS.relay_entries
+        meet(protocol, S, 1, 150.0)  # node 1 fails (0 < 20)
+        assert COUNTERS.relay_entries == before_entries + 1
+        assert ctx.results.relay_attempts == 0
+        assert SPAN_RELAY_HANDSHAKE not in ctx.telemetry.spans.snapshot()
 
     def test_failed_declarations_ride_with_message(self):
         protocol, ctx = harness()
@@ -251,8 +270,9 @@ class TestCheaterDetection:
 
 
 class TestLazyDeclaration:
-    """Only the FQ_RESP declarations a source record keeps are signed;
-    every negotiation still charges the candidate one signature."""
+    """Only the FQ_RESP declarations a record reads are signed, a
+    source's failed ones when a hand-off first embeds them; every
+    negotiation still charges the candidate one signature."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -312,18 +332,59 @@ class TestLazyDeclaration:
     def test_source_held_failure_is_signed_and_verifies(self, built):
         protocol, ctx = harness()
         meet(protocol, S, D, 20.0)
+        meet(protocol, 2, D, 60.0)
         inject(protocol, ctx, source=S, destination=D, created=120.0)
         before_signatures = COUNTERS.signatures
         meet(protocol, S, 1, 150.0)  # node 1 declares 0 < 20: fails
-        (declaration,) = protocol._sources[S][0].failed_declarations
-        assert built == [declaration]
-        assert COUNTERS.signatures == before_signatures + 1
+        assert built == []
+        assert COUNTERS.signatures == before_signatures
+        meet(protocol, S, 2, 160.0)  # the hand-off embeds the failure
+        (declaration,) = ctx.node(2).buffer[0].attachments
+        # Signed once, when first embedded; the record now holds it.
+        assert [d for d in built if d.declarant == 1] == [declaration]
+        assert protocol._sources[S][0].failed_declarations == [declaration]
+        assert declaration.declarant == 1
         assert declaration.value < 20.0
+        assert declaration.declared_at == 150.0
         assert verify_quality_declaration(
             protocol.identities[D],
             protocol.identities[1].certificate,
             declaration,
         )
+
+    def three_failures_then_hand_off(self):
+        """Nodes 1-3 fail at S, then node 4 takes the message."""
+        protocol, ctx = harness()
+        meet(protocol, S, D, 20.0)
+        meet(protocol, 4, D, 60.0)
+        meet(protocol, 6, D, 90.0)
+        inject(protocol, ctx, source=S, destination=D, created=120.0)
+        for node, t in ((1, 150.0), (2, 160.0), (3, 170.0)):
+            meet(protocol, S, node, t)
+        meet(protocol, S, 4, 180.0)
+        return protocol, ctx
+
+    def test_only_embedded_failures_are_signed(self, built):
+        protocol, ctx = self.three_failures_then_hand_off()
+        attachments = ctx.node(4).buffer[0].attachments
+        assert [d.declarant for d in attachments] == [2, 3]
+        # The two embedded failures, then the taker's own declaration;
+        # node 1's failure is never signed.
+        assert [d.declarant for d in built] == [2, 3, 4]
+        assert all(a is b for a, b in zip(built, attachments))
+
+    def test_second_hand_off_reuses_signed_failures(self, built):
+        protocol, ctx = self.three_failures_then_hand_off()
+        first = ctx.node(4).buffer[0].attachments
+        del built[:]
+        before_signatures = COUNTERS.signatures
+        meet(protocol, S, 6, 190.0)  # 90 beats the relabelled 60
+        second = ctx.node(6).buffer[0].attachments
+        assert len(second) == len(first) == 2
+        assert all(a is b for a, b in zip(first, second))
+        # Only the taker's declaration and its PoR are signed.
+        assert [d.declarant for d in built] == [6]
+        assert COUNTERS.signatures == before_signatures + 2
 
     def test_source_held_acceptance_anchors_chain(self, built):
         protocol, ctx = harness()

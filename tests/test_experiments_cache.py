@@ -26,9 +26,11 @@ from repro.experiments import (
     run_point,
     PROTOCOLS,
 )
+from repro.perf.bench import results_digest
 from repro.sim.config import EnergyModel, SimulationConfig, config_for
 from repro.sim.engine import Simulation
 from repro.sim.results import SimulationResults
+from repro.sim.serialize import results_to_dict
 
 BASE_KEY_ARGS = dict(
     trace_name="infocom05",
@@ -171,6 +173,28 @@ class TestRunCache:
         assert loaded.success_rate == results.success_rate
         assert cache.stats.hits == 1
         assert cache.stats.writes == 1
+
+    def test_compact_entry_keeps_results_digest(self, tmp_path):
+        cache = RunCache(tmp_path)
+        results = tiny_results()
+        key = "e" * 64
+        cache.put(key, results)
+        text = cache.path_for(key).read_text()
+        # Compact, key-sorted JSON: no newlines, no indentation.
+        assert "\n" not in text
+        assert text == json.dumps(
+            json.loads(text), sort_keys=True, separators=(",", ":")
+        )
+        assert results_digest(cache.get(key)) == results_digest(results)
+
+    def test_indented_entry_still_loads(self, tmp_path):
+        cache = RunCache(tmp_path)
+        results = tiny_results()
+        key = "f" * 64
+        cache.path_for(key).write_text(
+            json.dumps(results_to_dict(results), indent=1, sort_keys=True)
+        )
+        assert results_digest(cache.get(key)) == results_digest(results)
 
     def test_missing_key_is_miss(self, tmp_path):
         cache = RunCache(tmp_path)

@@ -21,7 +21,8 @@ import random
 import pytest
 
 from repro import api
-from repro.core import G2GEpidemicForwarding
+from repro.adversaries import Cheater, Liar
+from repro.core import G2GDelegationForwarding, G2GEpidemicForwarding
 from repro.crypto import (
     AccountingCryptoProvider,
     PROVIDER_TIERS,
@@ -30,6 +31,7 @@ from repro.crypto import (
     make_provider,
 )
 from repro.perf.compiled import compiled_modules
+from repro.sim import Simulation, SimulationConfig
 from tests.test_determinism_seeds import QUICK, results_digest
 
 #: Golden specs: both evaluation traces, shortened (QUICK) so the
@@ -126,6 +128,70 @@ class TestScenarioParityAcrossTiers:
         accounting = run_tier("cambridge06", "accounting", **kwargs)
         assert simulated.evicted_at == accounting.evicted_at
         assert results_digest(simulated) == results_digest(accounting)
+
+
+#: The deviating nodes of the delegation parity runs; both are
+#: convicted on every tier.
+DEVIATORS = (3, 7)
+
+
+def real_provider():
+    return RealCryptoProvider(key_bits=384, rng=random.Random(99))
+
+
+def run_delegation(mini_synthetic, variant, deviation, provider):
+    """The mini_synthetic spec of the delegation liar test, any deviation."""
+    cfg = SimulationConfig(
+        run_length=2 * 3600.0, silent_tail=1800.0,
+        mean_interarrival=60.0, ttl=1500.0, seed=4,
+        quality_timeframe=600.0, heavy_hmac_iterations=2,
+    )
+    results = Simulation(
+        mini_synthetic.trace,
+        G2GDelegationForwarding(variant, provider=provider),
+        cfg,
+        strategies={node: deviation() for node in DEVIATORS},
+    ).run()
+    assert sorted(d.offender for d in results.detections) == sorted(DEVIATORS)
+    return results
+
+
+class TestDelegationParityAcrossTiers:
+    """G2G Delegation signs its FQ_RESP declarations lazily; the tier
+    must still not leak into results."""
+
+    def test_cheaters_match_on_every_tier(self, mini_synthetic):
+        digests = {
+            results_digest(run_delegation(
+                mini_synthetic, "last_contact", Cheater, provider
+            ))
+            for provider in ("simulated", "accounting", real_provider())
+        }
+        assert len(digests) == 1
+
+    def test_liars_match_on_simulated_and_accounting(self, mini_synthetic):
+        simulated, accounting = (
+            run_delegation(mini_synthetic, "frequency", Liar, provider)
+            for provider in ("simulated", "accounting")
+        )
+        assert results_digest(simulated) == results_digest(accounting)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP 'Camouflage draws depend on the crypto tier': a "
+            "liar's deviation counts follow the D' draws, which share "
+            "ctx.rng with the crypto provider"
+        ),
+    )
+    def test_liars_match_on_real(self, mini_synthetic):
+        real = run_delegation(
+            mini_synthetic, "frequency", Liar, real_provider()
+        )
+        simulated = run_delegation(
+            mini_synthetic, "frequency", Liar, "simulated"
+        )
+        assert results_digest(real) == results_digest(simulated)
 
 
 class TestSelectionSurfaces:

@@ -73,7 +73,6 @@ class TestDepartRejoin:
         results = SimulationResults()
         scheduler = Scheduler(EventQueue(), horizon=3600.0)
         node = NodeState(node_id=1)
-        node.attach_scheduler(scheduler)
         node.store(_stored(1), 0.0, results)
         node.store(_stored(2), 0.0, results)
         assert node._relayable and len(node._expiry_times) == 2
