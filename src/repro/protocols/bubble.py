@@ -101,11 +101,9 @@ class BubbleRapForwarding(ForwardingProtocol):
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         results = self.ctx.results
         energy = self.ctx.config.energy
-        for copy in giver.live_copies(now):
+        for copy in giver.relay_candidates(now, taker.seen):
             message = copy.message
             destination = message.destination
-            if taker.has_seen(message.msg_id):
-                continue
             if taker.node_id != destination and not self._should_forward(
                 giver.node_id, taker.node_id, destination
             ):

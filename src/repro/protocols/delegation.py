@@ -97,18 +97,15 @@ class DelegationForwarding(ForwardingProtocol):
         copy.relays.append(taker.node_id)
 
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
-        """Run the delegation rule on every live copy of ``giver``."""
+        """Run the delegation rule on every live copy ``taker`` lacks."""
         results = self.ctx.results
-        for copy in giver.live_copies(now):
+        for copy in giver.relay_candidates(now, taker.seen):
             message = copy.message
             destination = message.destination
             if taker.node_id == destination:
-                if not taker.has_seen(message.msg_id):
-                    self._transfer(giver, taker, copy, now, copy.quality)
-                    taker.seen.add(message.msg_id)
-                    results.record_delivery(message, now)
-                continue
-            if taker.has_seen(message.msg_id):
+                self._transfer(giver, taker, copy, now, copy.quality)
+                taker.seen.add(message.msg_id)
+                results.record_delivery(message, now)
                 continue
             true_quality = self.tracker.current(
                 taker.node_id, destination, now

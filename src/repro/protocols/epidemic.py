@@ -13,6 +13,7 @@ re-receive what it silently discarded.
 
 from __future__ import annotations
 
+from ..adversaries.base import Strategy
 from ..sim.messages import Message, StoredCopy
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
@@ -46,39 +47,66 @@ class EpidemicForwarding(ForwardingProtocol):
     # -- internals ------------------------------------------------------
 
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
-        """Relay every live copy of ``giver`` that ``taker`` lacks."""
-        results = self.ctx.results
-        energy = self.ctx.config.energy
-        for copy in giver.live_copies(now):
+        """Relay every live copy of ``giver`` that ``taker`` lacks.
+
+        The taker's ``seen`` set filters the scan in bulk: inside the
+        loop it only gains the id being relayed, so no later candidate
+        is affected.  The per-relay bookkeeping is inlined — the
+        energy charges use ``transfer_cost``/``receive_cost``'s exact
+        expressions, so the ledger floats are unchanged.
+        """
+        candidates = giver.relay_candidates(now, taker.seen)
+        if not candidates:
+            return
+        ctx = self.ctx
+        results = ctx.results
+        config = ctx.config
+        energy = config.energy
+        transmit_per_kb = energy.transmit_per_kb
+        receive_per_kb = energy.receive_per_kb
+        energy_acct = results.energy
+        energy_get = energy_acct.get
+        records = results.messages
+        giver_id = giver.node_id
+        taker_id = taker.node_id
+        bounded = config.buffer_capacity is not None
+        strategy = taker.strategy
+        # Honest takers keep every copy: skip the hook call for them.
+        keep_hook = (
+            None
+            if type(strategy).keep_relayed_copy is Strategy.keep_relayed_copy
+            else strategy.keep_relayed_copy
+        )
+        for copy in candidates:
             message = copy.message
-            if taker.has_seen(message.msg_id):
-                continue
+            msg_id = message.msg_id
+            size = message.size_bytes
             results.relay_attempts += 1
-            results.record_replica(message)
-            results.add_energy(
-                giver.node_id, energy.transfer_cost(message.size_bytes)
+            records[msg_id].replicas += 1
+            energy_acct[giver_id] = (
+                energy_get(giver_id, 0.0) + transmit_per_kb * size / 1024.0
             )
-            results.add_energy(
-                taker.node_id, energy.receive_cost(message.size_bytes)
+            energy_acct[taker_id] = (
+                energy_get(taker_id, 0.0) + receive_per_kb * size / 1024.0
             )
-            copy.relays.append(taker.node_id)
-            if taker.node_id == message.destination:
-                taker.seen.add(message.msg_id)
+            copy.relays.append(taker_id)
+            if taker_id == message.destination:
+                taker.seen.add(msg_id)
                 results.record_delivery(message, now)
                 continue
-            make_room(self.ctx, taker, now)
+            if bounded:
+                make_room(ctx, taker, now)
             taker.store(
                 StoredCopy(
                     message=message,
                     received_at=now,
-                    received_from=giver.node_id,
+                    received_from=giver_id,
                 ),
                 now,
                 results,
             )
-            keep = taker.strategy.keep_relayed_copy(
-                taker.node_id, message, giver.node_id, now
-            )
-            if not keep:
-                taker.drop(message.msg_id, now, results)
-                results.record_deviation(taker.node_id, message)
+            if keep_hook is not None and not keep_hook(
+                taker_id, message, giver_id, now
+            ):
+                taker.drop(msg_id, now, results)
+                results.record_deviation(taker_id, message)

@@ -81,12 +81,10 @@ class SprayAndWaitForwarding(ForwardingProtocol):
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         results = self.ctx.results
         energy = self.ctx.config.energy
-        for copy in giver.live_copies(now):
+        for copy in giver.relay_candidates(now, taker.seen):
             message = copy.message
             tokens = self.tokens_of(giver.node_id, message.msg_id)
             is_destination = taker.node_id == message.destination
-            if taker.has_seen(message.msg_id):
-                continue
             if not is_destination and tokens <= 1:
                 continue  # wait phase: direct delivery only
             results.relay_attempts += 1

@@ -204,9 +204,17 @@ class EventQueue:
         return bool(self._heap) or self._pending is not None
 
     def drain(self) -> Iterator[Event]:
-        """Yield events in time order until the queue is empty."""
-        while self._heap or self._pending is not None:
-            yield self.pop()
+        """Yield events in time order until the queue is empty.
+
+        :meth:`pop` inlined: the stream feed runs only while a contact
+        is pending, so a bulk-loaded run pays one ``heappop`` per event.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap or self._pending is not None:
+            if self._pending is not None:
+                self._feed()
+            yield heappop(heap)[3]
 
 
 class Scheduler:

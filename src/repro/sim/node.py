@@ -14,15 +14,20 @@ Relay-eligible copies (body present, TTL not yet expired) are kept in
 a side index maintained by the same mutation helpers: an
 insertion-ordered dict of candidates plus a sorted expiry array (a
 stdlib ``array('d')`` of ``expires_at`` values with a parallel id
-list, maintained by ``bisect``).  ``live_copies`` /
-``relay_candidates`` compare ``now`` against the *earliest* expiry
-once and, in the common all-alive case, sweep the index without
-touching a single ``Message`` object; expired entries are compacted
-lazily at the first query that can observe them.  This replaces the
-per-copy TTL timers of the earlier design — the timers were pure
-compaction (results were identical with or without them firing), so
-dropping them removes one scheduler event per stored copy from the
-run without changing any observable output.
+list, maintained by ``bisect``).  ``relay_candidates`` compares
+``now`` against the *earliest* expiry once and, in the common
+all-alive case, sweeps the index without touching a single
+``Message`` object; expired entries are compacted lazily at the first
+query that can observe them.  This replaces the per-copy TTL timers of
+the earlier design — the timers were pure compaction (results were
+identical with or without them firing), so dropping them removes one
+scheduler event per stored copy from the run without changing any
+observable output.
+
+``purge_expired`` (the baselines' per-contact TTL drop) keeps a purge
+floor: a lower bound on the ``expires_at`` of every buffered copy.
+While ``now`` is below it nothing can have expired, so the call
+returns without walking the buffer.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import tempfile
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from math import inf
 from typing import (
     Any,
     Dict,
@@ -340,6 +346,11 @@ class NodeState:
     # (slightly slower) promotion-aware branch; the default path stays
     # exactly the plain-dict code it always was.
     _spill_enabled: bool = field(default=False, repr=False, compare=False)
+    # Lower bound on the ``expires_at`` of every buffered copy (body
+    # dropped or not): ``store`` lowers it, ``flush`` resets it, and
+    # ``drop``/``drop_body`` leave it alone (a bound over a superset
+    # stays a bound).  ``purge_expired`` recomputes it exactly.
+    _purge_floor: float = field(default=inf, repr=False, compare=False)
 
     def enable_spill(self, spill: RelaySpill, keep: int) -> None:
         """Swap the buffer for a spill-backed one (scale runs).
@@ -416,9 +427,11 @@ class NodeState:
         self.buffer[msg_id] = copy
         self.seen.add(msg_id)
         self._buffer_bytes += copy.message.size_bytes
+        expires_at = copy.message.expires_at
+        if expires_at < self._purge_floor:
+            self._purge_floor = expires_at
         if not copy.body_dropped:
             self._relayable[msg_id] = copy
-            expires_at = copy.message.expires_at
             index = bisect_right(self._expiry_times, expires_at)
             self._expiry_times.insert(index, expires_at)
             self._expiry_ids.insert(index, msg_id)
@@ -462,15 +475,25 @@ class NodeState:
     ) -> List[int]:
         """Drop every copy past its TTL; returns the dropped ids.
 
-        A full scan in buffer order, which fixes the order the drops
-        settle memory accounting in.  The baseline protocols call it
-        for both peers at every contact start.
+        The baseline protocols call it for both peers at every contact
+        start.  While ``now`` is below the purge floor no buffered copy
+        can have expired, so it returns ``[]`` without a scan (and, as
+        the scan would, settles no memory).  Otherwise it scans in
+        buffer order, which fixes the order the drops settle memory
+        accounting in, and rebuilds the floor from the survivors.
         """
-        expired = [
-            msg_id
-            for msg_id, copy in self.buffer.items()
-            if not copy.message.alive_at(now)
-        ]
+        if now < self._purge_floor:
+            return []
+        expired: List[int] = []
+        floor = inf
+        for msg_id, copy in self.buffer.items():
+            expires_at = copy.message.expires_at
+            if now < expires_at:
+                if expires_at < floor:
+                    floor = expires_at
+            else:
+                expired.append(msg_id)
+        self._purge_floor = floor
         for msg_id in expired:
             self.drop(msg_id, now, results)
         return expired
@@ -483,6 +506,7 @@ class NodeState:
         self._relayable.clear()
         del self._expiry_times[:]
         self._expiry_ids.clear()
+        self._purge_floor = inf
 
     # -- relay-candidate index -----------------------------------------
 
@@ -514,34 +538,6 @@ class NodeState:
             relayable.pop(msg_id, None)
         del times[:count]
         del ids[:count]
-
-    def live_copies(self, now: float) -> List[StoredCopy]:
-        """Copies of messages still within their TTL, as a list.
-
-        A list (not a view) so protocols may mutate the buffer while
-        iterating.  Order matches buffer insertion order, exactly as
-        the pre-index full-buffer filter produced.
-        """
-        COUNTERS.buffer_scans += 1
-        times = self._expiry_times
-        if times and times[0] <= now:
-            self._compact_expired(now)
-        if self._spill_enabled:
-            live = self._promoted_relayable()
-        else:
-            live = list(self._relayable.values())
-        COUNTERS.buffer_scanned += len(live)
-        return live
-
-    def _promoted_relayable(self) -> List[StoredCopy]:
-        """The relay index with spilled entries promoted in place."""
-        buffer = self.buffer
-        live: List[StoredCopy] = []
-        for msg_id, copy in self._relayable.items():
-            if copy is None:
-                copy = buffer[msg_id]  # promotes; fixes _relayable in place
-            live.append(copy)
-        return live
 
     def relay_candidates(
         self, now: float, exclude: Set[int]

@@ -1,10 +1,14 @@
 """Tests for the beyond-paper DTN baselines: Spray and Wait, PRoPHET,
-BubbleRap."""
+BubbleRap — plus results-digest pins for all five baselines."""
+
+import dataclasses
 
 import pytest
 
+from repro.adversaries import Dropper
 from repro.protocols import (
     BubbleRapForwarding,
+    DelegationForwarding,
     EpidemicForwarding,
     ProphetForwarding,
     SprayAndWaitForwarding,
@@ -13,6 +17,7 @@ from repro.protocols.prophet import P_INIT
 from repro.sim import Simulation, SimulationConfig
 from repro.sim.messages import Message
 from repro.traces import ContactTrace, make_contact
+from tests.test_determinism_seeds import results_digest
 
 
 def quick_cfg(**overrides):
@@ -196,3 +201,79 @@ class TestBubbleRap:
         ).run()
         assert bubble.delivered > 0
         assert bubble.cost < epidemic.cost
+
+
+#: ``results_to_dict`` sha256 of each baseline on mini_synthetic x
+#: quick_config.  The buffer-scan and relay-loop fast paths must leave
+#: every one of them unchanged: a moved digest means an optimisation
+#: changed which copy moved, in what order, or what it cost.
+BASELINE_DIGESTS = {
+    "bubble_rap": (
+        "80998c9c8b744918f8826e9a39148a0570a7ebb300393a2b12937f9d9352de2d"
+    ),
+    "delegation_last_contact": (
+        "1e0704ecf239c24564a3df977b5bf5f535da998e4aab88379b186591b0fa092c"
+    ),
+    "epidemic": (
+        "0d8c30901b3c93d999d6fb3a31e2421cc2603db902b6cbc8b42eefc5b00df1bd"
+    ),
+    "epidemic_capacity_2": (
+        "dbbd643fecbc22a4ff2483c9e6d36656d4c6acc1aa3173a5c6eff62d79579c63"
+    ),
+    "epidemic_droppers": (
+        "e4d69359aef9054203d2c974e474781e8b46b62d56356883167ac9d1ccb21e39"
+    ),
+    "prophet": (
+        "382e7fafffa3e6e11948cae7b72838de4ed7d165cdc553c3adc68b554c42ee04"
+    ),
+    "spray_and_wait_8": (
+        "45856b95b25553e5c3fe96f07fab5ca7b8a05d5cbed682250f4c9e8320448686"
+    ),
+}
+
+#: Nodes that silently drop what they relay (``epidemic_droppers``).
+DROPPERS = (1, 6)
+
+
+def baseline_run(case, trace, config, assignment):
+    strategies = None
+    community = None
+    if case == "epidemic":
+        protocol = EpidemicForwarding()
+    elif case == "delegation_last_contact":
+        protocol = DelegationForwarding("last_contact")
+    elif case == "prophet":
+        protocol = ProphetForwarding()
+    elif case == "bubble_rap":
+        protocol = BubbleRapForwarding()
+        community = assignment
+    elif case == "spray_and_wait_8":
+        protocol = SprayAndWaitForwarding(8)
+    elif case == "epidemic_droppers":
+        protocol = EpidemicForwarding()
+        strategies = {node: Dropper() for node in DROPPERS}
+    else:
+        assert case == "epidemic_capacity_2"
+        protocol = EpidemicForwarding()
+        config = dataclasses.replace(config, buffer_capacity=2)
+    return Simulation(
+        trace, protocol, config, strategies=strategies, community=community
+    ).run()
+
+
+class TestBaselineDigests:
+    @pytest.mark.parametrize("case", sorted(BASELINE_DIGESTS))
+    def test_digest_pinned(self, case, mini_synthetic, quick_config):
+        results = baseline_run(
+            case, mini_synthetic.trace, quick_config,
+            mini_synthetic.assignment,
+        )
+        assert results.relay_attempts > 0
+        if case == "epidemic_droppers":
+            # The keep_relayed_copy path actually ran.
+            assert set(results.deviation_counts) <= set(DROPPERS)
+            assert results.deviation_counts
+        if case == "epidemic_capacity_2":
+            # The make_room path actually evicted.
+            assert results.buffer_evictions > 0
+        assert results_digest(results) == BASELINE_DIGESTS[case]

@@ -1,5 +1,9 @@
 """Tests for messages and stored copies."""
 
+import dataclasses
+import pickle
+import sys
+
 import pytest
 
 from repro.sim.messages import Message, StoredCopy
@@ -52,3 +56,39 @@ class TestStoredCopy:
         copy = StoredCopy(message=msg(), received_at=0.0)
         copy.relays.extend([3, 4])
         assert copy.num_relays == 2
+
+    def full_copy(self):
+        return StoredCopy(
+            message=msg(size_bytes=512),
+            received_at=150.0,
+            received_from=2,
+            quality=0.5,
+            relays=[3, 4],
+            proofs=[("por", 3, b"sig-3"), ("por", 4, b"sig-4")],
+            attachments=[("declaration", 7, 0.25)],
+            body_dropped=True,
+        )
+
+    def test_pickle_round_trip(self):
+        copy = self.full_copy()
+        restored = pickle.loads(pickle.dumps(copy))
+        assert restored == copy
+        assert restored.relays == [3, 4]
+        assert restored.proofs == copy.proofs
+        assert restored.attachments == copy.attachments
+        assert restored.body_dropped
+
+    def test_replace_keeps_every_field(self):
+        copy = self.full_copy()
+        moved = dataclasses.replace(copy, quality=0.75)
+        assert moved.quality == 0.75
+        assert dataclasses.replace(moved, quality=0.5) == copy
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="dataclass slots need 3.10"
+    )
+    def test_slotted(self):
+        copy = self.full_copy()
+        assert not hasattr(copy, "__dict__")
+        with pytest.raises(AttributeError):
+            copy.ad_hoc = 1
