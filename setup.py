@@ -1,54 +1,10 @@
-"""Build shim: legacy editable installs + the optional compiled build.
+"""Build shim for offline editable installs.
 
-All real metadata lives in pyproject.toml.  This file exists for two
-reasons:
-
-* ``pip install -e . --no-use-pep517 --no-build-isolation`` works in
-  the offline environment (no ``wheel`` package needed).
-* The opt-in compiled build: with ``REPRO_FAST=1`` in the environment
-  (and mypyc importable — ``pip install .[fast]`` pulls it in via
-  mypy), the strict-typed hot modules are mypyc-compiled to C
-  extensions.  Results are bit-identical to the pure-Python build —
-  CI's compiled-wheel job runs the golden and determinism-digest
-  suites against the compiled modules to prove it; only wall-clock
-  changes.
-
-The gate is deliberately belt-and-braces: no env var -> pure Python;
-env var set but mypyc missing -> a warning on stderr and the plain
-pure-Python build (graceful fallback, never a hard failure).
+All metadata lives in pyproject.toml; this file only lets
+``pip install -e . --no-use-pep517 --no-build-isolation`` work without
+the ``wheel`` package.
 """
-
-import os
-import sys
 
 from setuptools import setup
 
-#: The hot modules the compiled build targets.  Strict-typed (see the
-#: mypy overrides in pyproject.toml); keep in sync with
-#: ``repro.perf.compiled.HOT_COMPILED_MODULES``, which is what the
-#: runtime/CI build check inspects.
-FAST_MODULES = [
-    "src/repro/core/wire.py",
-    "src/repro/crypto/hashing.py",
-    "src/repro/sim/events.py",
-    "src/repro/sim/node.py",
-]
-
-
-def _ext_modules():
-    if os.environ.get("REPRO_FAST") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print(
-            "REPRO_FAST=1 set but mypyc is not installed; building "
-            "pure-Python instead (install the [fast] extra for the "
-            "compiled build)",
-            file=sys.stderr,
-        )
-        return []
-    return mypycify(FAST_MODULES)
-
-
-setup(ext_modules=_ext_modules())
+setup()

@@ -622,10 +622,7 @@ def cmd_perf(args) -> int:
             f"  tier {tier:<10}: best {block['wall_seconds_best']:.3f} s, "
             f"digest {block['results_digest'][:12]}"
         )
-    print(
-        f"  tiers identical results: {tiers['identical_results']}, "
-        f"build: {tiers['compiled']['status']}"
-    )
+    print(f"  tiers identical results: {tiers['identical_results']}")
     print(f"wrote {args.out}")
     return 0
 

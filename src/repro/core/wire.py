@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .._mypyc import mypyc_attr
 from ..crypto.hashing import digest
 from ..perf.counters import COUNTERS
 from ..traces.trace import NodeId
@@ -60,7 +59,6 @@ def _memoized(artifact: object, slot: str, value: bytes) -> bytes:
     return value
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class SealedMessage:
     """The on-air form of a message: ``m = <D, E_PKD(S, msg_id, body)>_S``.
@@ -101,7 +99,6 @@ class SealedMessage:
         return _memoized(self, "_content_hash", digest(self.wire_bytes()))
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class RelayRequest:
     """Step 1 / step 8: ``<RELAY_RQST, H(m)>_A`` (+ D' for delegation)."""
@@ -122,7 +119,6 @@ class RelayRequest:
         ))
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class RelayAccept:
     """Step 2: ``<RELAY_OK, H(m)>_B``."""
@@ -142,7 +138,6 @@ class RelayAccept:
         ))
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class QualityDeclaration:
     """Step 9: ``<FQ_RESP, B, D', f_BD>_B`` with its timeframe index.
@@ -171,7 +166,6 @@ class QualityDeclaration:
         ))
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class ProofOfRelay:
     """Step 4 / step 11: the receipt a relay signs on taking a message.
@@ -215,7 +209,6 @@ class ProofOfRelay:
         )))
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class StorageChallenge:
     """Step 6: ``<POR_RQST, H(m), s>_A`` — the test-phase opener."""
@@ -236,7 +229,6 @@ class StorageChallenge:
         ))
 
 
-@mypyc_attr(native_class=False)
 @dataclass(frozen=True)
 class StorageProof:
     """Step 7 (second branch): ``<STORED, H(m), s, HMAC(m, s)>_B``."""

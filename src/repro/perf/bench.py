@@ -48,7 +48,6 @@ from ..sim.messages import Message, StoredCopy
 from ..sim.node import NodeState
 from ..sim.results import SimulationResults
 from ..sim.serialize import results_to_dict
-from .compiled import compiled_modules
 from .counters import COUNTERS
 
 #: The single-run benchmark spec.
@@ -196,9 +195,7 @@ def tiers_benchmark(
     side, making the "identical results, different wall-clock"
     contract checkable at a glance.  The real tier is never timed here
     (minutes per run); pass ``provider="real"`` to :func:`run_single`
-    to measure it deliberately.  The compiled-build status of the hot
-    modules is recorded so numbers from a ``.[fast]`` wheel are
-    labelled as such.
+    to measure it deliberately.
 
     Args:
         simulated: an already-measured simulated-tier block (from
@@ -240,19 +237,6 @@ def tiers_benchmark(
         "note": (
             "from-scratch RSA keygen/sign: minutes per run; "
             "run_single(provider='real') measures it on demand"
-        ),
-    }
-    compiled = compiled_modules()
-    tiers["compiled"] = {
-        "status": (
-            "compiled" if all(compiled.values()) else "pure-python"
-        ),
-        "modules": compiled,
-        "note": (
-            "build `pip install .[fast]` (REPRO_FAST=1) and re-run "
-            "`repro perf` to record compiled numbers; results are "
-            "bit-identical either way (CI's compiled-wheel job "
-            "asserts it)"
         ),
     }
     tiers["identical_results"] = (

@@ -42,8 +42,6 @@ FIELDS = (
     "spans_recorded",        # telemetry protocol-phase spans closed
     "stream_chunks",         # contact-source chunks pulled into the engine
     "stream_contacts",       # contacts streamed across all chunks
-    "relay_spill_writes",    # stored copies demoted to the on-disk index
-    "relay_spill_reads",     # spilled copies promoted back into memory
 )
 
 
@@ -72,10 +70,7 @@ HOT_MODULE_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "sim/events.py": (
         "timers_scheduled", "timer_dispatches", "timers_cancelled",
     ),
-    "sim/node.py": (
-        "buffer_scans", "buffer_scanned",
-        "relay_spill_writes", "relay_spill_reads",
-    ),
+    "sim/node.py": ("buffer_scans", "buffer_scanned"),
     "telemetry/spans.py": ("spans_recorded",),
     "traces/stream.py": ("stream_chunks", "stream_contacts"),
 }

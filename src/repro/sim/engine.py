@@ -43,7 +43,7 @@ from .config import SimulationConfig
 from .eventlog import EventLog, EventType
 from .events import Event, EventKind, EventQueue, Scheduler
 from .messages import Message
-from .node import NodeState, RelaySpill, SpillPolicy
+from .node import NodeState
 from .results import SimulationResults
 from .traffic import PoissonTraffic
 
@@ -108,29 +108,19 @@ class _NodeTable(Dict[NodeId, NodeState]):
     A 1M-node universe must not materialize a million ``NodeState``
     objects up front; the table builds one the first time any event or
     protocol touches the node.  Creation is a pure function of the
-    node id (strategy map lookup, optional spill attachment), so the
-    lazy table is observationally identical to the eager dict for any
-    access sequence.
+    node id (a strategy map lookup), so the lazy table is
+    observationally identical to the eager dict for any access sequence.
     """
 
-    def __init__(
-        self,
-        strategies: Mapping[NodeId, Strategy],
-        spill: Optional[RelaySpill] = None,
-        keep: int = 64,
-    ) -> None:
+    def __init__(self, strategies: Mapping[NodeId, Strategy]) -> None:
         super().__init__()
         self._strategies = strategies
-        self._spill = spill
-        self._keep = keep
 
     def __missing__(self, node_id: NodeId) -> NodeState:
         node = NodeState(
             node_id=node_id,
             strategy=self._strategies.get(node_id, HONEST),
         )
-        if self._spill is not None:
-            node.enable_spill(self._spill, self._keep)
         self[node_id] = node
         return node
 
@@ -154,9 +144,6 @@ class Simulation:
             ``TIMER`` event on the run scheduler.
         energy_budgets: optional per-node energy budgets (joules);
             empty means the paper's unbounded-battery setting.
-        spill: optional relay-index spill policy; bounds resident
-            copies per node by demoting cold ones to a shared on-disk
-            store (scale runs only — off by default).
     """
 
     def __init__(
@@ -169,7 +156,6 @@ class Simulation:
         blacklist: Optional[BlacklistService] = None,
         churn: Optional[Sequence[ChurnEvent]] = None,
         energy_budgets: Optional[Mapping[NodeId, float]] = None,
-        spill: Optional[SpillPolicy] = None,
     ) -> None:
         source = ensure_contact_source(trace, "Simulation")
         if source.num_nodes < 2:
@@ -184,7 +170,6 @@ class Simulation:
         self.community = community
         self.churn = tuple(churn or ())
         self.energy_budgets = dict(energy_budgets or {})
-        self.spill = spill
         universe = source.universe
         # ``range`` universes test membership in O(1); explicit node
         # tuples go through a set so the checks stay O(1) either way.
@@ -210,7 +195,6 @@ class Simulation:
                 )
             )
         self.blacklist = blacklist
-        self._active_spill: Optional[RelaySpill] = None
 
     def _build_context(self) -> "SimulationContext":
         from ..protocols.base import SimulationContext
@@ -220,18 +204,10 @@ class Simulation:
             trace=self.source.name,
             seed=self.config.seed,
         )
-        spill: Optional[RelaySpill] = None
-        if self.spill is not None:
-            spill = RelaySpill(self.spill.path)
-            self._active_spill = spill
         lazy = not self.source.materialized
         nodes: Dict[NodeId, NodeState]
         if lazy:
-            nodes = _NodeTable(
-                self.strategies,
-                spill=spill,
-                keep=self.spill.keep if self.spill is not None else 64,
-            )
+            nodes = _NodeTable(self.strategies)
         else:
             nodes = {
                 node_id: NodeState(
@@ -240,9 +216,6 @@ class Simulation:
                 )
                 for node_id in self.source.universe
             }
-            if spill is not None:
-                for node in nodes.values():
-                    node.enable_spill(spill, self.spill.keep)  # type: ignore[union-attr]
         events = EventLog(enabled=self.config.track_events)
         results.events = events
         scheduler = Scheduler(
@@ -359,9 +332,6 @@ class Simulation:
                 self.protocol.on_message_generated(message, now)
 
         self.protocol.finalize(horizon)
-        if self._active_spill is not None:
-            self._active_spill.close()
-            self._active_spill = None
         ctx.telemetry.finalize_run(
             COUNTERS.diff(ops_before),
             {

@@ -32,265 +32,18 @@ returns without walking the buffer.
 
 from __future__ import annotations
 
-import os
-import struct
-import tempfile
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import inf
-from typing import (
-    Any,
-    Dict,
-    ItemsView,
-    List,
-    Optional,
-    Set,
-    ValuesView,
-    cast,
-)
+from typing import Any, Dict, List, Optional, Set
 
-from .._mypyc import mypyc_attr
 from ..adversaries.base import HONEST, Strategy
 from ..crypto.keys import NodeIdentity
 from ..perf.counters import COUNTERS
 from ..traces.trace import NodeId
-from .messages import Message, StoredCopy
+from .messages import StoredCopy
 from .results import SimulationResults
-
-# -- spill-to-disk relay index ----------------------------------------------
-
-#: Fixed part of one spilled copy: msg_id, source, destination,
-#: created_at, ttl, size_bytes, received_at, received_from (-1 = None),
-#: quality.  Followed by a u32 relay count and that many i64 node ids.
-_SPILL_RECORD = struct.Struct("<qqqddqdqd")
-_SPILL_U32 = struct.Struct("<I")
-_SPILL_I64 = struct.Struct("<q")
-
-
-class RelaySpill:
-    """Append-only on-disk store of demoted :class:`StoredCopy` records.
-
-    One spill file is shared by every node of a run: records are
-    addressed by byte offset, written once, and read back whenever the
-    owning buffer promotes the copy.  Only *inert* copies are spilled
-    (body present, no proofs or attachments pending), so a record
-    round-trips bit-exactly through the fixed-layout encoding — the
-    promoted copy is indistinguishable from one that never left memory.
-    """
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        if path is None:
-            fd, path = tempfile.mkstemp(
-                prefix="g2g-relay-spill-", suffix=".bin"
-            )
-            self._handle = os.fdopen(fd, "w+b")
-            self._owns_path = True
-        else:
-            self._handle = open(path, "w+b")
-            self._owns_path = False
-        self.path = path
-        self._end = 0
-        self.records = 0
-
-    def append(self, copy: StoredCopy) -> int:
-        """Write one copy; returns its record offset."""
-        message = copy.message
-        received_from = (
-            -1 if copy.received_from is None else copy.received_from
-        )
-        handle = self._handle
-        offset = self._end
-        handle.seek(offset)
-        handle.write(
-            _SPILL_RECORD.pack(
-                message.msg_id,
-                message.source,
-                message.destination,
-                message.created_at,
-                message.ttl,
-                message.size_bytes,
-                copy.received_at,
-                received_from,
-                copy.quality,
-            )
-        )
-        relays = copy.relays
-        handle.write(_SPILL_U32.pack(len(relays)))
-        for relay in relays:
-            handle.write(_SPILL_I64.pack(relay))
-        self._end = offset + (
-            _SPILL_RECORD.size + _SPILL_U32.size
-            + len(relays) * _SPILL_I64.size
-        )
-        self.records += 1
-        return offset
-
-    def read(self, offset: int) -> StoredCopy:
-        """Reconstruct the copy written at ``offset``."""
-        handle = self._handle
-        handle.seek(offset)
-        (
-            msg_id, source, destination, created_at, ttl, size_bytes,
-            received_at, received_from, quality,
-        ) = _SPILL_RECORD.unpack(handle.read(_SPILL_RECORD.size))
-        (count,) = _SPILL_U32.unpack(handle.read(_SPILL_U32.size))
-        payload = handle.read(count * _SPILL_I64.size)
-        relays = [
-            _SPILL_I64.unpack_from(payload, i * _SPILL_I64.size)[0]
-            for i in range(count)
-        ]
-        return StoredCopy(
-            message=Message(
-                msg_id=msg_id,
-                source=source,
-                destination=destination,
-                created_at=created_at,
-                ttl=ttl,
-                size_bytes=size_bytes,
-            ),
-            received_at=received_at,
-            received_from=None if received_from < 0 else received_from,
-            quality=quality,
-            relays=relays,
-        )
-
-    def close(self) -> None:
-        """Close the file; unlink it when this spill created it."""
-        if self._handle.closed:
-            return
-        self._handle.close()
-        if self._owns_path:
-            try:
-                os.unlink(self.path)
-            except OSError:  # already gone: nothing to reclaim
-                pass
-
-
-@dataclass(frozen=True)
-class SpillPolicy:
-    """Run-level spill configuration (``Simulation(spill=...)``).
-
-    Attributes:
-        keep: resident copies per node before demotion kicks in.
-        path: spill file location; ``None`` uses a run-lifetime
-            temporary file that is unlinked when the run closes it.
-    """
-
-    keep: int = 64
-    path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.keep < 1:
-            raise ValueError("spill policy must keep at least one copy")
-
-
-@mypyc_attr(native_class=False)
-class SpillableBuffer(Dict[int, StoredCopy]):
-    """A node buffer that demotes cold relay copies to a shared spill.
-
-    The crucial invariant is *iteration-order transparency*: protocols
-    iterate ``node.buffer.items()`` directly and their offer/purge
-    order is part of the determinism contract.  A demoted key is
-    therefore never removed from the dict — its value is overwritten
-    *in place* with ``None`` (which preserves dict insertion order
-    exactly) and the real record is parked in the spill file.  Every
-    read path (``[]``, ``get``, ``items``, ``values``, ``pop``)
-    promotes ``None`` entries transparently, so callers observe the
-    same objects in the same order as an ordinary dict buffer.
-    """
-
-    def __init__(self, owner: "NodeState", spill: RelaySpill, keep: int) -> None:
-        super().__init__()
-        self._owner = owner
-        self._spill = spill
-        self._keep = max(1, keep)
-        self._spilled: Dict[int, int] = {}  # msg_id -> record offset
-
-    @property
-    def resident(self) -> int:
-        """Copies currently held in memory."""
-        return len(self) - len(self._spilled)
-
-    @property
-    def spilled(self) -> int:
-        """Copies currently parked on disk."""
-        return len(self._spilled)
-
-    def _promote(self, msg_id: int) -> StoredCopy:
-        offset = self._spilled.pop(msg_id)
-        copy = self._spill.read(offset)
-        dict.__setitem__(self, msg_id, copy)
-        relayable = self._owner._relayable
-        if msg_id in relayable:
-            relayable[msg_id] = copy
-        COUNTERS.relay_spill_reads += 1
-        return copy
-
-    def _promote_all(self) -> None:
-        if self._spilled:
-            for msg_id in list(self._spilled):
-                self._promote(msg_id)
-
-    def demote_excess(self) -> None:
-        """Spill the oldest inert copies until ``resident <= keep``.
-
-        Copies with pending proofs/attachments or a dropped body stay
-        resident: they are either about to mutate or already cheap.
-        """
-        if self.resident <= self._keep:
-            return
-        relayable = self._owner._relayable
-        for msg_id in list(dict.keys(self)):
-            if self.resident <= self._keep:
-                break
-            if msg_id in self._spilled:
-                continue
-            copy = dict.__getitem__(self, msg_id)
-            if (
-                copy is None
-                or copy.body_dropped
-                or copy.proofs
-                or copy.attachments
-            ):
-                continue
-            offset = self._spill.append(copy)
-            self._spilled[msg_id] = offset
-            dict.__setitem__(self, msg_id, cast(StoredCopy, None))
-            if msg_id in relayable:
-                relayable[msg_id] = cast(StoredCopy, None)
-            COUNTERS.relay_spill_writes += 1
-
-    def __getitem__(self, msg_id: int) -> StoredCopy:
-        copy = dict.__getitem__(self, msg_id)
-        if copy is None:
-            copy = self._promote(msg_id)
-        return copy
-
-    def get(  # type: ignore[override]
-        self, msg_id: int, default: Optional[StoredCopy] = None
-    ) -> Optional[StoredCopy]:
-        if msg_id not in self:
-            return default
-        return self[msg_id]
-
-    def pop(self, msg_id: int, *default: Any) -> Any:  # type: ignore[override]
-        if msg_id in self and dict.__getitem__(self, msg_id) is None:
-            self._promote(msg_id)
-        self._spilled.pop(msg_id, None)
-        return dict.pop(self, msg_id, *default)
-
-    def items(self) -> ItemsView[int, StoredCopy]:
-        self._promote_all()
-        return dict.items(self)
-
-    def values(self) -> ValuesView[StoredCopy]:
-        self._promote_all()
-        return dict.values(self)
-
-    def clear(self) -> None:
-        dict.clear(self)
-        self._spilled.clear()
 
 
 @dataclass
@@ -342,29 +95,11 @@ class NodeState:
     _expiry_ids: List[int] = field(
         default_factory=list, repr=False, compare=False
     )
-    # True once the buffer is a SpillableBuffer: the scan paths take a
-    # (slightly slower) promotion-aware branch; the default path stays
-    # exactly the plain-dict code it always was.
-    _spill_enabled: bool = field(default=False, repr=False, compare=False)
     # Lower bound on the ``expires_at`` of every buffered copy (body
     # dropped or not): ``store`` lowers it, ``flush`` resets it, and
     # ``drop``/``drop_body`` leave it alone (a bound over a superset
     # stays a bound).  ``purge_expired`` recomputes it exactly.
     _purge_floor: float = field(default=inf, repr=False, compare=False)
-
-    def enable_spill(self, spill: RelaySpill, keep: int) -> None:
-        """Swap the buffer for a spill-backed one (scale runs).
-
-        Must be called while the buffer is empty (the engine enables
-        spill at node creation); existing copies would otherwise skip
-        the demotion bookkeeping.
-        """
-        if self.buffer:
-            raise ValueError(
-                f"node {self.node_id}: enable_spill on a non-empty buffer"
-            )
-        self.buffer = SpillableBuffer(self, spill, keep)
-        self._spill_enabled = True
 
     @property
     def participating(self) -> bool:
@@ -435,8 +170,6 @@ class NodeState:
             index = bisect_right(self._expiry_times, expires_at)
             self._expiry_times.insert(index, expires_at)
             self._expiry_ids.insert(index, msg_id)
-        if self._spill_enabled:
-            cast(SpillableBuffer, self.buffer).demote_excess()
         return copy
 
     def drop(
@@ -557,16 +290,6 @@ class NodeState:
             self._compact_expired(now)
         relayable = self._relayable
         COUNTERS.buffer_scanned += len(relayable)
-        if self._spill_enabled:
-            buffer = self.buffer
-            candidates: List[StoredCopy] = []
-            for msg_id, copy in relayable.items():
-                if msg_id in exclude:
-                    continue
-                if copy is None:
-                    copy = buffer[msg_id]
-                candidates.append(copy)
-            return candidates
         return [
             copy
             for msg_id, copy in relayable.items()

@@ -30,7 +30,6 @@ from repro.crypto import (
     TIER_NAMES,
     make_provider,
 )
-from repro.perf.compiled import compiled_modules
 from repro.sim import Simulation, SimulationConfig
 from tests.test_determinism_seeds import QUICK, results_digest
 
@@ -223,20 +222,3 @@ class TestSelectionSurfaces:
         args = build_parser().parse_args(["perf", "--provider", "simulated"])
         assert args.provider == "simulated"
 
-
-class TestBuildDetection:
-    def test_compiled_modules_reports_the_hot_set(self):
-        status = compiled_modules()
-        assert set(status) == {
-            "repro.core.wire",
-            "repro.crypto.hashing",
-            "repro.sim.events",
-            "repro.sim.node",
-        }
-        # In the default (pure-Python) build nothing is compiled; the
-        # CI compiled-wheel job flips REPRO_EXPECT_COMPILED=1 and runs
-        # this same suite against the .[fast] wheel.
-        import os
-
-        if os.environ.get("REPRO_EXPECT_COMPILED") == "1":
-            assert all(status.values()), status

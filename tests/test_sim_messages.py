@@ -2,7 +2,6 @@
 
 import dataclasses
 import pickle
-import sys
 
 import pytest
 
@@ -84,9 +83,6 @@ class TestStoredCopy:
         assert moved.quality == 0.75
         assert dataclasses.replace(moved, quality=0.5) == copy
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 10), reason="dataclass slots need 3.10"
-    )
     def test_slotted(self):
         copy = self.full_copy()
         assert not hasattr(copy, "__dict__")

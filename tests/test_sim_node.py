@@ -181,150 +181,3 @@ class TestPurgeFloor:
         assert node.purge_expired(400.0, results) == [5, 2, 9]
         assert list(node.buffer) == [4]
 
-
-class TestRelaySpill:
-    def copy(self, i=1, relays=(), received_from=None):
-        return StoredCopy(
-            message=msg(i, size=1234),
-            received_at=12.5,
-            received_from=received_from,
-            quality=0.75,
-            relays=list(relays),
-        )
-
-    def test_record_round_trip(self, tmp_path):
-        from repro.sim.node import RelaySpill
-
-        spill = RelaySpill(str(tmp_path / "spill.bin"))
-        try:
-            original = self.copy(7, relays=(3, 9), received_from=2)
-            offset = spill.append(original)
-            assert spill.read(offset) == original
-        finally:
-            spill.close()
-
-    def test_none_received_from_round_trips(self, tmp_path):
-        from repro.sim.node import RelaySpill
-
-        spill = RelaySpill(str(tmp_path / "spill.bin"))
-        try:
-            original = self.copy(1, received_from=None)
-            restored = spill.read(spill.append(original))
-            assert restored.received_from is None
-            assert restored == original
-        finally:
-            spill.close()
-
-    def test_interleaved_records_stay_addressable(self, tmp_path):
-        from repro.sim.node import RelaySpill
-
-        spill = RelaySpill(str(tmp_path / "spill.bin"))
-        try:
-            first = spill.append(self.copy(1, relays=(5,)))
-            second = spill.append(self.copy(2))
-            assert spill.read(first).message.msg_id == 1
-            assert spill.read(second).message.msg_id == 2
-            assert spill.records == 2
-        finally:
-            spill.close()
-
-    def test_anonymous_spill_unlinks_on_close(self):
-        import os
-
-        from repro.sim.node import RelaySpill
-
-        spill = RelaySpill()
-        path = spill.path
-        assert os.path.exists(path)
-        spill.close()
-        assert not os.path.exists(path)
-
-    def test_policy_validation(self):
-        from repro.sim.node import SpillPolicy
-
-        with pytest.raises(ValueError):
-            SpillPolicy(keep=0)
-
-
-class TestSpillableBuffer:
-    @pytest.fixture
-    def spill(self):
-        from repro.sim.node import RelaySpill
-
-        spill = RelaySpill()
-        yield spill
-        spill.close()
-
-    def spilled_node(self, spill, keep=2):
-        node = NodeState(node_id=3)
-        node.enable_spill(spill, keep=keep)
-        return node
-
-    def fill(self, node, results, count, size=100):
-        for i in range(1, count + 1):
-            node.store(
-                StoredCopy(message=msg(i, size=size), received_at=float(i)),
-                float(i),
-                results,
-            )
-
-    def test_enable_spill_requires_empty_buffer(self, spill, results):
-        node = NodeState(node_id=3)
-        node.store(StoredCopy(message=msg(), received_at=0.0), 0.0, results)
-        with pytest.raises(ValueError):
-            node.enable_spill(spill, keep=2)
-
-    def test_store_demotes_oldest_beyond_keep(self, spill, results):
-        node = self.spilled_node(spill, keep=2)
-        self.fill(node, results, 5)
-        assert node.buffer.resident == 2
-        assert node.buffer.spilled == 3
-        assert len(node.buffer) == 5
-
-    def test_iteration_order_survives_demotion(self, spill, results):
-        node = self.spilled_node(spill, keep=2)
-        self.fill(node, results, 5)
-        # items() promotes everything back and must present the exact
-        # insertion order a plain dict buffer would.
-        assert [i for i, _ in node.buffer.items()] == [1, 2, 3, 4, 5]
-        assert node.buffer.spilled == 0
-
-    def test_promotion_restores_identical_copy(self, spill, results):
-        node = self.spilled_node(spill, keep=1)
-        self.fill(node, results, 3)
-        plain = NodeState(node_id=3)
-        self.fill(plain, results, 3)
-        for i in (1, 2, 3):
-            assert node.buffer[i] == plain.buffer[i]
-
-    def test_live_copies_match_plain_buffer(self, spill, results):
-        node = self.spilled_node(spill, keep=1)
-        plain = NodeState(node_id=3)
-        self.fill(node, results, 4)
-        self.fill(plain, results, 4)
-        assert node.relay_candidates(50.0, set()) == (
-            plain.relay_candidates(50.0, set())
-        )
-        assert node.relay_candidates(50.0, exclude={2}) == (
-            plain.relay_candidates(50.0, exclude={2})
-        )
-
-    def test_pop_of_spilled_copy(self, spill, results):
-        node = self.spilled_node(spill, keep=1)
-        self.fill(node, results, 3)
-        assert node.buffer.spilled > 0
-        popped = node.buffer.pop(1)
-        assert popped.message.msg_id == 1
-        assert 1 not in node.buffer
-        assert node.buffer.pop(99, None) is None
-
-    def test_spill_ops_are_counted(self, spill, results):
-        from repro.perf import COUNTERS
-
-        before = COUNTERS.snapshot()
-        node = self.spilled_node(spill, keep=1)
-        self.fill(node, results, 3)
-        list(node.buffer.items())
-        ops = COUNTERS.diff(before)
-        assert ops["relay_spill_writes"] == 2
-        assert ops["relay_spill_reads"] == 2

@@ -120,33 +120,22 @@ class TestSourceRequestDeterminism:
             execute_request(bad)
 
 
-class TestSpillEquivalence:
-    def test_spill_on_off_identical_results(self):
-        # The relay spill changes *where* cold copies live, never what
-        # the protocol observes: a run with an aggressive keep budget
-        # must be byte-identical to the unbounded run — while actually
-        # exercising the demote/promote machinery.
-        from repro.perf import COUNTERS
+class TestPinnedStreamDigest:
+    #: ``results_to_dict`` sha256 of the ``STREAM_SPEC`` epidemic run
+    #: at seed 1.  Pins streamed results across refactors of the node
+    #: buffer and the engine: any change to what a streamed run
+    #: observes or records moves this value.
+    EPIDEMIC_SEED1 = (
+        "d814d200a14536bf81b912a19a11bbba58129f2ddfe10908c0ad9b27c23ae8d7"
+    )
+
+    def test_epidemic_stream_digest_is_pinned(self):
         from repro.sim.config import SimulationConfig
-        from repro.sim.node import SpillPolicy
         from repro.traces.stream import source_from_spec
 
         _, factory = PROTOCOLS["epidemic"]
-        config = SimulationConfig(
-            seed=1, **dict(STREAM_OVERRIDES)
-        )
-        plain = Simulation(
+        config = SimulationConfig(seed=1, **dict(STREAM_OVERRIDES))
+        results = Simulation(
             source_from_spec(STREAM_SPEC), factory(), config
         ).run()
-        before = COUNTERS.snapshot()
-        spilled = Simulation(
-            source_from_spec(STREAM_SPEC),
-            factory(),
-            config,
-            spill=SpillPolicy(keep=1),
-        ).run()
-        ops = COUNTERS.diff(before)
-        assert ops["relay_spill_writes"] > 0, (
-            "keep=1 must actually demote copies"
-        )
-        assert digest(plain) == digest(spilled)
+        assert digest(results) == self.EPIDEMIC_SEED1
