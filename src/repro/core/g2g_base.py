@@ -28,7 +28,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union, cast
 
 from ..adversaries.base import Strategy
 from ..crypto.keys import Authority, Certificate, NodeIdentity
@@ -387,7 +387,7 @@ class Give2GetBase(ForwardingProtocol):
             if now > deadline:
                 del taken[msg_id]
                 continue
-            copy = node.buffer.get(msg_id)
+            copy = cast(Optional[StoredCopy], node.buffer.get(msg_id))
             if copy is None:
                 pending.add(giver)
             elif copy.body_dropped and len(copy.proofs) < fanout:
@@ -454,13 +454,16 @@ class Give2GetBase(ForwardingProtocol):
 
         The candidate scan excludes messages the taker has already
         handled (step 1's RELAY_RQST answered in bulk against the
-        taker's ``seen`` set), so the signed relay phase only starts
+        taker's ``seen`` map), so the signed relay phase only starts
         for hand-offs that can actually happen.  Candidate order is
         the giver's buffer insertion order — identical to the
         pre-index full-buffer filter, keeping RNG draws in the same
         order and the run bit-identical.
         """
-        candidates = giver.relay_candidates(now, taker.seen)
+        # G2G stores only StoredCopy, so every candidate is one.
+        candidates = cast(
+            List[StoredCopy], giver.relay_candidates(now, taker.seen)
+        )
         if not candidates:
             return
         giver_id = giver.node_id
@@ -610,7 +613,7 @@ class Give2GetBase(ForwardingProtocol):
                 identities[taker_id], self._sealed[msg_id]
             )
             assert (source_id, opened_id) == (message.source, msg_id)
-            taker.seen.add(msg_id)
+            taker.mark_seen(msg_id)
             results.record_delivery(message, now)
             if events.enabled:
                 events.log(
@@ -718,7 +721,7 @@ class Give2GetBase(ForwardingProtocol):
         results = ctx.results
         message = record.message
         results.test_phases += 1
-        copy = peer.buffer.get(message.msg_id)
+        copy = cast(Optional[StoredCopy], peer.buffer.get(message.msg_id))
         proofs = list(copy.proofs) if copy is not None else []
         source_identity = self.identities[source.node_id]
         if len(proofs) >= ctx.config.relay_fanout:

@@ -18,9 +18,9 @@ Two curve families:
 * ``contacts_vs`` — a fixed 10k-node universe at growing durations.
   The contact stream is never materialized (the heap holds only the
   in-flight frontier), but RSS is *not* flat: it grows with the
-  replicated state the epidemic spreads — per-node ``seen`` sets and
-  buffered copies — which grows roughly in proportion to the contact
-  count.
+  replicated state the epidemic spreads — slim buffered copies and a
+  per-node ``seen`` map of one byte per message — which grows with the
+  contact count.  The report's notes state the measured growth.
 """
 
 from __future__ import annotations
@@ -172,10 +172,25 @@ def scale_bench(
             "contact ingestion, not forwarding. contacts_vs grows the "
             f"stream at a fixed {contacts_nodes}-node universe; the "
             "stream is never materialized, but RSS still grows with "
-            "the epidemic's replicated state (seen sets and buffered "
-            "copies), roughly in proportion to the contact count."
+            "the epidemic's replicated state (slim buffered copies "
+            "and one seen byte per message per node)."
+            + _growth_note(contacts_vs)
         ),
     }
+
+
+def _growth_note(points: Sequence[Dict[str, Any]]) -> str:
+    """How peak RSS grew against contacts from the first point to the last."""
+    if len(points) < 2:
+        return ""
+    first, last = points[0], points[-1]
+    return (
+        f" From {first['contacts']} to {last['contacts']} contacts "
+        f"({last['contacts'] / first['contacts']:.1f}x) peak RSS grows "
+        f"from {first['peak_rss_bytes'] / 1e6:.0f} to "
+        f"{last['peak_rss_bytes'] / 1e6:.0f} MB "
+        f"({last['peak_rss_bytes'] / first['peak_rss_bytes']:.1f}x)."
+    )
 
 
 def write_report(report: Dict[str, Any], path: str) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..sim.messages import Message, StoredCopy
+from ..sim.messages import BufferedCopy, Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
@@ -54,7 +54,7 @@ class DelegationForwarding(ForwardingProtocol):
             message.source, message.destination, now
         )
         source.store(
-            StoredCopy(message=message, received_at=now, quality=quality),
+            BufferedCopy(message=message, received_at=now, quality=quality),
             now,
             self.ctx.results,
         )
@@ -78,7 +78,7 @@ class DelegationForwarding(ForwardingProtocol):
         self,
         giver: NodeState,
         taker: NodeState,
-        copy: StoredCopy,
+        copy: BufferedCopy,
         now: float,
         quality: float,
     ) -> None:
@@ -94,7 +94,6 @@ class DelegationForwarding(ForwardingProtocol):
         results.add_energy(
             taker.node_id, energy.receive_cost(message.size_bytes)
         )
-        copy.relays.append(taker.node_id)
 
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         """Run the delegation rule on every live copy ``taker`` lacks."""
@@ -104,7 +103,7 @@ class DelegationForwarding(ForwardingProtocol):
             destination = message.destination
             if taker.node_id == destination:
                 self._transfer(giver, taker, copy, now, copy.quality)
-                taker.seen.add(message.msg_id)
+                taker.mark_seen(message.msg_id)
                 results.record_delivery(message, now)
                 continue
             true_quality = self.tracker.current(
@@ -122,7 +121,7 @@ class DelegationForwarding(ForwardingProtocol):
             copy.quality = declared
             make_room(self.ctx, taker, now)
             taker.store(
-                StoredCopy(
+                BufferedCopy(
                     message=message,
                     received_at=now,
                     received_from=giver.node_id,

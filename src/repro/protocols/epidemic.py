@@ -14,7 +14,7 @@ re-receive what it silently discarded.
 from __future__ import annotations
 
 from ..adversaries.base import Strategy
-from ..sim.messages import Message, StoredCopy
+from ..sim.messages import BufferedCopy, Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
@@ -29,7 +29,8 @@ class EpidemicForwarding(ForwardingProtocol):
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
         source.store(
-            StoredCopy(message=message, received_at=now), now, self.ctx.results
+            BufferedCopy(message=message, received_at=now), now,
+            self.ctx.results,
         )
         # A message born during a contact spreads immediately.
         for peer in list(self.ctx.active_neighbors(message.source)):
@@ -89,15 +90,14 @@ class EpidemicForwarding(ForwardingProtocol):
             energy_acct[taker_id] = (
                 energy_get(taker_id, 0.0) + receive_per_kb * size / 1024.0
             )
-            copy.relays.append(taker_id)
             if taker_id == message.destination:
-                taker.seen.add(msg_id)
+                taker.mark_seen(msg_id)
                 results.record_delivery(message, now)
                 continue
             if bounded:
                 make_room(ctx, taker, now)
             taker.store(
-                StoredCopy(
+                BufferedCopy(
                     message=message,
                     received_at=now,
                     received_from=giver_id,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..sim.messages import Message, StoredCopy
+from ..sim.messages import BufferedCopy, Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
@@ -99,7 +99,7 @@ class ProphetForwarding(ForwardingProtocol):
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
         source.store(
-            StoredCopy(message=message, received_at=now), now,
+            BufferedCopy(message=message, received_at=now), now,
             self.ctx.results,
         )
         for peer in list(self.ctx.active_neighbors(message.source)):
@@ -136,14 +136,13 @@ class ProphetForwarding(ForwardingProtocol):
             results.add_energy(
                 taker.node_id, energy.receive_cost(message.size_bytes)
             )
-            copy.relays.append(taker.node_id)
             if taker.node_id == destination:
-                taker.seen.add(message.msg_id)
+                taker.mark_seen(message.msg_id)
                 results.record_delivery(message, now)
                 continue
             make_room(self.ctx, taker, now)
             taker.store(
-                StoredCopy(
+                BufferedCopy(
                     message=message, received_at=now,
                     received_from=giver.node_id,
                 ),

@@ -15,13 +15,13 @@ directly to the destination (the *wait* phase).
 
 from __future__ import annotations
 
-from ..sim.messages import Message, StoredCopy
+from ..sim.messages import BufferedCopy, Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
 
 #: Key under which the token count is stored on a copy's attachments
-#: slot (kept out of StoredCopy's typed fields: tokens are specific to
+#: slot (kept out of BufferedCopy's typed fields: tokens are specific to
 #: this protocol).
 _TOKENS = "spray_tokens"
 
@@ -55,7 +55,7 @@ class SprayAndWaitForwarding(ForwardingProtocol):
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
         source.store(
-            StoredCopy(message=message, received_at=now), now,
+            BufferedCopy(message=message, received_at=now), now,
             self.ctx.results,
         )
         self._tokens[self._token_key(message.source, message.msg_id)] = (
@@ -95,9 +95,8 @@ class SprayAndWaitForwarding(ForwardingProtocol):
             results.add_energy(
                 taker.node_id, energy.receive_cost(message.size_bytes)
             )
-            copy.relays.append(taker.node_id)
             if is_destination:
-                taker.seen.add(message.msg_id)
+                taker.mark_seen(message.msg_id)
                 results.record_delivery(message, now)
                 continue
             handed = tokens // 2
@@ -109,7 +108,7 @@ class SprayAndWaitForwarding(ForwardingProtocol):
             )
             make_room(self.ctx, taker, now)
             taker.store(
-                StoredCopy(
+                BufferedCopy(
                     message=message, received_at=now,
                     received_from=giver.node_id,
                 ),

@@ -1,10 +1,16 @@
 """Per-node runtime state.
 
 A :class:`NodeState` is the simulator-side embodiment of one device:
-its message buffer, the set of message ids it has handled ("have you
-already handled a message with hash H(m)?" — step 1 of the relay
-phase), its strategy, optional cryptographic identity, and running
-energy/memory accounting.
+its message buffer, the message ids it has handled ("have you already
+handled a message with hash H(m)?" — step 1 of the relay phase), its
+strategy, optional cryptographic identity, and running energy/memory
+accounting.
+
+Handled ids live in ``seen``, a ``bytearray`` with one byte per
+message indexed by the engine's dense per-run ``msg_id`` (1 once
+handled).  It grows on demand as ids are marked, so a node that never
+meets a message's copies pays nothing for it, and the offer scan's
+"has the taker handled this?" is one subscript rather than a set probe.
 
 Buffer mutations go through the ``store`` / ``drop`` helpers so that
 memory byte-seconds are integrated correctly: every mutation first
@@ -17,12 +23,12 @@ stdlib ``array('d')`` of ``expires_at`` values with a parallel id
 list, maintained by ``bisect``).  ``relay_candidates`` compares
 ``now`` against the *earliest* expiry once and, in the common
 all-alive case, sweeps the index without touching a single
-``Message`` object; expired entries are compacted lazily at the first
-query that can observe them.  This replaces the per-copy TTL timers of
-the earlier design — the timers were pure compaction (results were
-identical with or without them firing), so dropping them removes one
-scheduler event per stored copy from the run without changing any
-observable output.
+``Message`` object or hashing a single id; expired entries are
+compacted lazily at the first query that can observe them.  This
+replaces the per-copy TTL timers of the earlier design — the timers
+were pure compaction (results were identical with or without them
+firing), so dropping them removes one scheduler event per stored copy
+from the run without changing any observable output.
 
 ``purge_expired`` (the baselines' per-contact TTL drop) keeps a purge
 floor: a lower bound on the ``expires_at`` of every buffered copy.
@@ -36,13 +42,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from ..adversaries.base import HONEST, Strategy
 from ..crypto.keys import NodeIdentity
 from ..perf.counters import COUNTERS
 from ..traces.trace import NodeId
-from .messages import StoredCopy
+from .messages import BufferedCopy
 from .results import SimulationResults
 
 
@@ -55,8 +61,11 @@ class NodeState:
         strategy: behavioral strategy (honest or a deviation).
         identity: cryptographic identity (G2G protocols only).
         buffer: live message copies by message id.
-        seen: message ids this node has handled at some point —
-            the honest answer to a RELAY_RQST.
+        seen: one byte per message id, 1 if this node has handled
+            the message at some point — the honest answer to a
+            RELAY_RQST.  Ids past its end are unseen; it grows through
+            :meth:`mark_seen` (and the offer scan's
+            :meth:`relay_candidates`), never shrinks.
         evicted: True once removed from the network by a PoM.
         departed: True while the node has churned out of the network
             (a device switched off); unlike eviction it is reversible
@@ -71,8 +80,8 @@ class NodeState:
     node_id: NodeId
     strategy: Strategy = HONEST
     identity: Optional[NodeIdentity] = None
-    buffer: Dict[int, StoredCopy] = field(default_factory=dict)
-    seen: Set[int] = field(default_factory=set)
+    buffer: Dict[int, BufferedCopy] = field(default_factory=dict)
+    seen: bytearray = field(default_factory=bytearray)
     evicted: bool = False
     departed: bool = False
     depleted: bool = False
@@ -86,7 +95,7 @@ class NodeState:
     # and compact the stale tail in O(expired).  Maintained by
     # store/drop/drop_body/flush; excluded from equality so two nodes
     # with identical buffers compare equal regardless of scan history.
-    _relayable: Dict[int, StoredCopy] = field(
+    _relayable: Dict[int, BufferedCopy] = field(
         default_factory=dict, repr=False, compare=False
     )
     _expiry_times: array = field(
@@ -131,7 +140,16 @@ class NodeState:
 
     def has_seen(self, msg_id: int) -> bool:
         """True if the node ever handled the message."""
-        return msg_id in self.seen
+        seen = self.seen
+        return 0 <= msg_id < len(seen) and seen[msg_id] == 1
+
+    def mark_seen(self, msg_id: int) -> None:
+        """Record the message as handled, growing ``seen`` to fit."""
+        seen = self.seen
+        missing = msg_id + 1 - len(seen)
+        if missing > 0:
+            seen.extend(bytes(missing))
+        seen[msg_id] = 1
 
     # -- memory-accounted buffer mutations -----------------------------
 
@@ -146,8 +164,8 @@ class NodeState:
             self._memory_clock = now
 
     def store(
-        self, copy: StoredCopy, now: float, results: SimulationResults
-    ) -> StoredCopy:
+        self, copy: BufferedCopy, now: float, results: SimulationResults
+    ) -> BufferedCopy:
         """Buffer a new copy (marks the message as seen).
 
         Raises:
@@ -160,7 +178,7 @@ class NodeState:
             )
         self._settle_memory(now, results)
         self.buffer[msg_id] = copy
-        self.seen.add(msg_id)
+        self.mark_seen(msg_id)
         self._buffer_bytes += copy.message.size_bytes
         expires_at = copy.message.expires_at
         if expires_at < self._purge_floor:
@@ -174,7 +192,7 @@ class NodeState:
 
     def drop(
         self, msg_id: int, now: float, results: SimulationResults
-    ) -> Optional[StoredCopy]:
+    ) -> Optional[BufferedCopy]:
         """Remove a copy entirely (body and bookkeeping)."""
         copy = self.buffer.pop(msg_id, None)
         if copy is not None:
@@ -273,16 +291,20 @@ class NodeState:
         del ids[:count]
 
     def relay_candidates(
-        self, now: float, exclude: Set[int]
-    ) -> List[StoredCopy]:
-        """Live copies whose message id is not in ``exclude``.
+        self, now: float, exclude: bytearray
+    ) -> List[BufferedCopy]:
+        """Live copies whose message id is not marked in ``exclude``.
 
         The per-pair offer scan: ``exclude`` is the taker's ``seen``
-        set, so the relay phase is only entered for messages the taker
+        map, so the relay phase is only entered for messages the taker
         would actually accept (step 1's "have you handled H(m)?"
-        answered in bulk, before any signing work).  The expired tail
-        is compacted first, so the sweep itself is a pure dict
-        iteration — no per-entry ``expires_at`` reads.
+        answered in bulk, before any signing work).  Every buffered id
+        is marked in this node's own ``seen``, so growing ``exclude``
+        to that length (one O(1) compare, zero-filled) makes every
+        lookup in range.  The expired tail is compacted first, so the
+        sweep itself is a pure dict iteration with one subscript per
+        entry — no per-entry ``expires_at`` reads — in the index's
+        insertion order.
         """
         COUNTERS.buffer_scans += 1
         times = self._expiry_times
@@ -290,8 +312,13 @@ class NodeState:
             self._compact_expired(now)
         relayable = self._relayable
         COUNTERS.buffer_scanned += len(relayable)
+        if not relayable:
+            return []
+        missing = len(self.seen) - len(exclude)
+        if missing > 0:
+            exclude.extend(bytes(missing))
         return [
             copy
             for msg_id, copy in relayable.items()
-            if msg_id not in exclude
+            if not exclude[msg_id]
         ]

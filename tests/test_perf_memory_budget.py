@@ -1,0 +1,110 @@
+"""Memory budget of a streamed epidemic run (deterministic, tracemalloc).
+
+Epidemic floods every live copy to every node that has not handled it,
+so per-copy and per-node handled-message state is what a streamed run's
+memory is made of.  The budget below pins how small that state stays:
+``tracemalloc`` counts Python allocations exactly, so the peak is the
+same on every machine and run, unlike RSS.
+"""
+
+import pytest
+
+from repro.perf import measure_peak_alloc
+from repro.protocols import (
+    DelegationForwarding,
+    EpidemicForwarding,
+    ProphetForwarding,
+    SprayAndWaitForwarding,
+)
+from repro.sim import Simulation, SimulationConfig
+from repro.sim.messages import BufferedCopy, Message
+from repro.traces import ContactTrace
+from repro.traces.stream import StreamModelConfig, SyntheticStreamSource
+
+#: The benchmark's ``tiny`` stream: a 2k-node universe over two hours,
+#: 8 contacts per node, 200 messages; trace seed 0, traffic seed 0.
+NODES = 2_000
+DURATION = 7_200.0
+CONTACTS_PER_NODE = 8.0
+MESSAGES = 200
+
+#: Traced peak of one run, in bytes.  Slim baseline copies and
+#: byte-per-message ``seen`` maps peak near 7.6 MB; per-copy relay
+#: lists and per-node ``seen`` sets peaked at 15.2 MB.
+PEAK_BUDGET = 10_000_000
+
+
+def tiny_stream_run():
+    source = SyntheticStreamSource(StreamModelConfig(
+        nodes=NODES,
+        duration=DURATION,
+        seed=0,
+        contacts_per_node=CONTACTS_PER_NODE,
+    ))
+    silent_tail = DURATION / 4.0
+    config = SimulationConfig(
+        run_length=DURATION,
+        silent_tail=silent_tail,
+        mean_interarrival=(DURATION - silent_tail) / MESSAGES,
+        ttl=DURATION / 2.0,
+        seed=0,
+        track_memory=False,
+    )
+    return Simulation(source, EpidemicForwarding(), config).run()
+
+
+class TestStreamedEpidemicBudget:
+    def test_traced_peak_within_budget(self):
+        results, peak = measure_peak_alloc(tiny_stream_run)
+        assert results.delivered > 0
+        assert peak < PEAK_BUDGET, (
+            f"streamed epidemic peaked at {peak / 1e6:.1f} MB of Python "
+            f"allocations, over the {PEAK_BUDGET / 1e6:.0f} MB budget"
+        )
+
+
+def harness(protocol):
+    trace = ContactTrace(name="m", nodes=(0, 1, 2), contacts=())
+    config = SimulationConfig(
+        run_length=4000.0, silent_tail=1000.0, mean_interarrival=1e6,
+        ttl=2000.0,
+    )
+    ctx = Simulation(trace, protocol, config)._build_context()
+    protocol.bind(ctx)
+    return ctx
+
+
+def inject(protocol, ctx):
+    message = Message(
+        msg_id=0, source=0, destination=2, created_at=0.0, ttl=2000.0
+    )
+    ctx.results.record_generated(message)
+    protocol.on_message_generated(message, 0.0)
+
+
+def assert_slim(copy):
+    assert type(copy) is BufferedCopy
+    for name in ("relays", "proofs", "attachments"):
+        assert not hasattr(copy, name)
+
+
+class TestSlimBaselineCopies:
+    @pytest.mark.parametrize("make", [
+        EpidemicForwarding,
+        DelegationForwarding,
+        ProphetForwarding,
+        SprayAndWaitForwarding,
+    ])
+    def test_source_copy_is_slim(self, make):
+        protocol = make()
+        ctx = harness(protocol)
+        inject(protocol, ctx)
+        assert_slim(ctx.node(0).buffer[0])
+
+    def test_relayed_copy_is_slim(self):
+        protocol = EpidemicForwarding()
+        ctx = harness(protocol)
+        inject(protocol, ctx)
+        protocol.on_contact_start(0, 1, 10.0)
+        assert ctx.results.messages[0].replicas == 1
+        assert_slim(ctx.node(1).buffer[0])

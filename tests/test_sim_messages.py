@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.sim.messages import Message, StoredCopy
+from repro.sim.messages import BufferedCopy, Message, StoredCopy
 
 
 def msg(**overrides):
@@ -34,6 +34,35 @@ class TestMessage:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             msg().ttl = 5.0
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, "1", None])
+    def test_msg_id_must_be_a_non_negative_int(self, bad):
+        # Ids index per-node byte maps: a negative one would silently
+        # alias the end of the array.
+        with pytest.raises(ValueError, match="dense per-run"):
+            msg(msg_id=bad)
+
+    def test_msg_id_zero_accepted(self):
+        assert msg(msg_id=0).msg_id == 0
+
+
+class TestBufferedCopy:
+    def test_carries_only_what_every_protocol_reads(self):
+        copy = BufferedCopy(message=msg(), received_at=100.0)
+        assert copy.received_from is None
+        assert copy.quality == 0.0
+        assert not copy.body_dropped
+        for name in ("relays", "proofs", "attachments"):
+            assert not hasattr(copy, name)
+
+    def test_slotted(self):
+        copy = BufferedCopy(message=msg(), received_at=0.0)
+        assert not hasattr(copy, "__dict__")
+        with pytest.raises(AttributeError):
+            copy.ad_hoc = 1
+
+    def test_stored_copy_extends_it(self):
+        assert isinstance(StoredCopy(message=msg(), received_at=0.0), BufferedCopy)
 
 
 class TestStoredCopy:

@@ -3,8 +3,10 @@
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.messages import Message, StoredCopy
+from repro.sim.messages import BufferedCopy, Message, StoredCopy
 from repro.sim.node import NodeState
 from repro.sim.results import SimulationResults
 
@@ -50,13 +52,13 @@ class TestBuffer:
 
     def test_live_copies_filters_expired(self, node, results):
         node.store(StoredCopy(message=msg(), received_at=0.0), 0.0, results)
-        assert len(node.relay_candidates(100.0, set())) == 1
-        assert node.relay_candidates(600.0, set()) == []
+        assert len(node.relay_candidates(100.0, bytearray())) == 1
+        assert node.relay_candidates(600.0, bytearray()) == []
 
     def test_live_copies_filters_dropped_bodies(self, node, results):
         node.store(StoredCopy(message=msg(), received_at=0.0), 0.0, results)
         node.drop_body(1, 50.0, results)
-        assert node.relay_candidates(100.0, set()) == []
+        assert node.relay_candidates(100.0, bytearray()) == []
         assert node.has_copy(1)  # record still there
 
 
@@ -138,7 +140,7 @@ class TestPurgeFloor:
         self.store(node, results, 1, 600.0)
         self.store(node, results, 2, 900.0)
         assert [c.message.msg_id for c in node.relay_candidates(
-            700.0, set()
+            700.0, bytearray()
         )] == [2]
         assert node.has_copy(1)
         assert node.purge_expired(700.0, results) == [1]
@@ -181,3 +183,127 @@ class TestPurgeFloor:
         assert node.purge_expired(400.0, results) == [5, 2, 9]
         assert list(node.buffer) == [4]
 
+
+
+class TestSeenMap:
+    def test_mark_seen_grows_to_fit(self, node):
+        assert node.seen == bytearray()
+        node.mark_seen(4)
+        assert len(node.seen) == 5
+        assert node.has_seen(4)
+        assert not any(node.has_seen(i) for i in range(4))
+        node.mark_seen(2)
+        assert len(node.seen) == 5  # an id in range does not grow it
+        assert node.has_seen(2)
+
+    def test_out_of_range_ids_are_unseen(self, node):
+        node.mark_seen(3)
+        assert not node.has_seen(4)
+        assert not node.has_seen(10**9)
+        # A negative id must not alias the end of the array.
+        assert not node.has_seen(-1)
+
+    def test_seen_survives_depart_and_rejoin(self, node, results):
+        node.store(StoredCopy(message=msg(2), received_at=0.0), 0.0, results)
+        node.mark_seen(5)
+        node.depart(10.0, results)
+        assert node.has_seen(2) and node.has_seen(5)
+        node.rejoin(20.0)
+        assert node.buffer == {}
+        assert node.has_seen(2) and node.has_seen(5)
+
+    def test_short_taker_is_grown_to_the_giver(self, node, results):
+        for i in (1, 6, 3):
+            node.store(
+                BufferedCopy(message=msg(i), received_at=0.0), 0.0, results
+            )
+        taker = NodeState(node_id=4)
+        taker.mark_seen(1)
+        assert len(taker.seen) < len(node.seen)
+        offered = node.relay_candidates(10.0, taker.seen)
+        assert [c.message.msg_id for c in offered] == [6, 3]
+        assert len(taker.seen) == len(node.seen)
+        # Growth only zero-fills: nothing new counts as seen.
+        assert [i for i in range(10) if taker.has_seen(i)] == [1]
+
+    def test_longer_taker_is_left_alone(self, node, results):
+        node.store(
+            BufferedCopy(message=msg(2), received_at=0.0), 0.0, results
+        )
+        taker = NodeState(node_id=4)
+        taker.mark_seen(50)
+        offered = node.relay_candidates(10.0, taker.seen)
+        assert [c.message.msg_id for c in offered] == [2]
+        assert len(taker.seen) == 51
+
+
+#: One step of a giver/taker history: (operation, message id, amount).
+#: ``amount`` is the TTL of a store and the clock advance of a query.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["store", "drop", "drop_body", "mark_seen", "giver_seen", "query"]
+        ),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=300),
+    ),
+    max_size=80,
+)
+
+
+class TestRelayCandidatesProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_STEPS)
+    def test_matches_set_based_reference(self, steps):
+        results = SimulationResults()
+        giver = NodeState(node_id=0)
+        taker = NodeState(node_id=1)
+        # The reference: a plain insertion-ordered dict of copies whose
+        # body is present, and a set of the ids the taker handled.
+        relayable = {}
+        taker_seen = set()
+        now = 0.0
+
+        def check():
+            expected = [
+                copy
+                for msg_id, copy in relayable.items()
+                if now < copy.message.expires_at and msg_id not in taker_seen
+            ]
+            got = giver.relay_candidates(now, taker.seen)
+            assert [c.message.msg_id for c in got] == [
+                c.message.msg_id for c in expected
+            ]
+            assert all(a is b for a, b in zip(got, expected))
+            assert {
+                i for i in range(len(taker.seen)) if taker.has_seen(i)
+            } == taker_seen
+
+        for op, msg_id, amount in steps:
+            if op == "store":
+                if giver.has_copy(msg_id):
+                    continue
+                copy = BufferedCopy(
+                    message=Message(
+                        msg_id=msg_id, source=0, destination=9,
+                        created_at=now, ttl=float(amount),
+                    ),
+                    received_at=now,
+                )
+                giver.store(copy, now, results)
+                relayable[msg_id] = copy
+            elif op == "drop":
+                giver.drop(msg_id, now, results)
+                relayable.pop(msg_id, None)
+            elif op == "drop_body":
+                giver.drop_body(msg_id, now, results)
+                relayable.pop(msg_id, None)
+            elif op == "mark_seen":
+                taker.mark_seen(msg_id)
+                taker_seen.add(msg_id)
+            elif op == "giver_seen":
+                giver.mark_seen(msg_id)
+            else:
+                now += amount
+                check()
+        check()
