@@ -3,9 +3,10 @@
 Every experiment shares: the two traces, the 3-hour evaluation window,
 Poisson traffic at one message per 4 s with a silent last hour, the
 per-trace/per-family TTLs, Δ2 = 2·Δ1, and the 34-minute delegation
-quality timeframe.  This module caches the expensive artifacts (trace
-generation, window selection, community detection) so sweeps only pay
-for simulation.
+quality timeframe.  This module caches the artifacts every run shares
+so sweeps only pay for simulation.  Trace generation and community
+detection dominate their cost; window selection counts each candidate
+window's contacts by bisection and takes milliseconds.
 """
 
 from __future__ import annotations

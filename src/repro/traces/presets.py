@@ -25,7 +25,12 @@ from .synthetic import (
     SyntheticTrace,
     generate,
 )
-from .windows import EvaluationWindow, active_windows, busiest_window
+from .windows import (
+    EvaluationWindow,
+    active_windows,
+    busiest_window,
+    overlap_counter,
+)
 
 #: Paper TTL (Δ1) values per trace and protocol family, in seconds
 #: (Sec. V-C and Sec. VII).
@@ -133,11 +138,7 @@ def standard_window(synthetic: SyntheticTrace) -> EvaluationWindow:
     if trace.name == "cambridge06":
         windows = active_windows(trace, min_contacts=100)
         if windows:
-            ranked = sorted(
-                windows,
-                key=lambda w: sum(
-                    1 for c in trace.contacts if c.overlaps(w.start, w.end)
-                ),
-            )
+            overlapping = overlap_counter(trace)
+            ranked = sorted(windows, key=lambda w: overlapping(w.start, w.end))
             return ranked[int(len(ranked) * 0.75)]
     return busiest_window(trace)

@@ -95,7 +95,8 @@ class ContactTrace:
     Attributes:
         name: human-readable label ("infocom05", ...).
         nodes: sorted tuple of node ids.
-        contacts: contacts sorted by start time.
+        contacts: contacts sorted by start time; fixed at construction,
+            which also computes ``end_time`` from them once.
     """
 
     name: str
@@ -104,6 +105,7 @@ class ContactTrace:
     _by_node: Dict[NodeId, List[Contact]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _end_time: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.nodes = tuple(sorted(set(self.nodes)))
@@ -116,6 +118,7 @@ class ContactTrace:
                     f"(universe has {len(node_set)} nodes)"
                 )
         self.contacts = ordered
+        self._end_time = max((c.end for c in ordered), default=0.0)
 
     def __len__(self) -> int:
         return len(self.contacts)
@@ -135,8 +138,11 @@ class ContactTrace:
 
     @property
     def end_time(self) -> float:
-        """End of the latest-ending contact (0.0 for an empty trace)."""
-        return max((c.end for c in self.contacts), default=0.0)
+        """End of the latest-ending contact (0.0 for an empty trace).
+
+        Computed once at construction, so every read is O(1).
+        """
+        return self._end_time
 
     @property
     def duration(self) -> float:
