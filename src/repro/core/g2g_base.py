@@ -309,7 +309,7 @@ class Give2GetBase(ForwardingProtocol):
             message=message
         )
         source.store(
-            StoredCopy(message=message, received_at=now,
+            StoredCopy(message=message,
                        quality=self._initial_quality(message, now)),
             now,
             self.ctx.results,
@@ -390,7 +390,7 @@ class Give2GetBase(ForwardingProtocol):
             copy = cast(Optional[StoredCopy], node.buffer.get(msg_id))
             if copy is None:
                 pending.add(giver)
-            elif copy.body_dropped and len(copy.proofs) < fanout:
+            elif node.body_dropped(msg_id) and len(copy.proofs) < fanout:
                 pending.add(giver)  # pragma: no cover - defensive
         return frozenset(pending)
 
@@ -635,8 +635,6 @@ class Give2GetBase(ForwardingProtocol):
         taker.store(
             StoredCopy(
                 message=message,
-                received_at=now,
-                received_from=giver_id,
                 quality=plan.new_copy_quality,
                 attachments=list(plan.attachments),
             ),
@@ -757,7 +755,7 @@ class Give2GetBase(ForwardingProtocol):
                     detail="proofs_of_relay",
                 )
             return
-        if copy is not None and not copy.body_dropped:
+        if copy is not None and not peer.body_dropped(message.msg_id):
             # Storage challenge: the relay proves it still holds the
             # bytes by computing the heavy HMAC over them.
             seed = random_seed(ctx.rng)

@@ -4,9 +4,10 @@ Every experiment shares: the two traces, the 3-hour evaluation window,
 Poisson traffic at one message per 4 s with a silent last hour, the
 per-trace/per-family TTLs, Δ2 = 2·Δ1, and the 34-minute delegation
 quality timeframe.  This module caches the artifacts every run shares
-so sweeps only pay for simulation.  Trace generation and community
-detection dominate their cost; window selection counts each candidate
-window's contacts by bisection and takes milliseconds.
+so sweeps only pay for simulation.  Trace generation dominates their
+cost, so the evaluation trace and its communities share one generated
+trace; community detection comes next, and window selection counts
+each candidate window's contacts by bisection in milliseconds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, Tuple
 from ..sim.config import SimulationConfig, config_for
 from ..social.communities import CommunityMap
 from ..traces.presets import standard_window, trace_by_name
+from ..traces.synthetic import SyntheticTrace
 from ..traces.trace import ContactTrace
 
 #: The two evaluation traces, in paper order.
@@ -42,10 +44,28 @@ def adversary_counts(trace_name: str, quick: bool = False) -> Tuple[int, ...]:
     return tuple(counts)
 
 
+#: Full synthetic traces generated for one of the two cached artifacts
+#: below and not yet used by the other.  Generation dominates both
+#: artifacts' cost, so each ``(name, seed)`` is generated once: the
+#: first artifact built parks the trace here and the second takes it
+#: back out, so the full trace is not kept once both exist.
+_UNCLAIMED: Dict[Tuple[str, int], SyntheticTrace] = {}
+
+
+def _full_trace(trace_name: str, trace_seed: int) -> SyntheticTrace:
+    """The full synthetic trace, shared by the trace and the community."""
+    key = (trace_name, trace_seed)
+    synthetic = _UNCLAIMED.pop(key, None)
+    if synthetic is None:
+        synthetic = trace_by_name(trace_name, seed=trace_seed)
+        _UNCLAIMED[key] = synthetic
+    return synthetic
+
+
 @lru_cache(maxsize=None)
 def evaluation_trace(trace_name: str, trace_seed: int = 0) -> ContactTrace:
     """The windowed 3-hour evaluation trace (cached)."""
-    synthetic = trace_by_name(trace_name, seed=trace_seed)
+    synthetic = _full_trace(trace_name, trace_seed)
     window = standard_window(synthetic)
     return window.slice(synthetic.trace)
 
@@ -59,7 +79,7 @@ def evaluation_community(trace_name: str, trace_seed: int = 0) -> CommunityMap:
     communities are a property of the social structure, not of one
     afternoon.
     """
-    synthetic = trace_by_name(trace_name, seed=trace_seed)
+    synthetic = _full_trace(trace_name, trace_seed)
     params = COMMUNITY_PARAMS[trace_name]
     return CommunityMap.detect(
         synthetic.trace,

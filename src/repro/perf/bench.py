@@ -44,7 +44,7 @@ from ..crypto.hashing import digest, hmac_digest, prepare_hmac_key
 from ..crypto.provider import SimulatedCryptoProvider
 from ..experiments.setting import evaluation_trace, standard_config
 from ..sim.engine import run_simulation
-from ..sim.messages import Message, StoredCopy
+from ..sim.messages import Message
 from ..sim.node import NodeState
 from ..sim.results import SimulationResults
 from ..sim.serialize import results_to_dict
@@ -294,26 +294,24 @@ def microbench_buffer_scan(
             msg_id=i, source=0, destination=buffer_size + 1,
             created_at=0.0, ttl=3600.0,
         )
-        node.store(StoredCopy(message=message, received_at=0.0), 0.0, results)
+        node.store(message, 0.0, results)
     # The taker's ``seen`` map: every even message id already handled.
     exclude = bytearray(1 - i % 2 for i in range(buffer_size))
     now = 10.0
 
     def naive():
         return [
-            copy
-            for copy in node.buffer.values()
-            if not copy.body_dropped
-            and copy.message.alive_at(now)
-            and not exclude[copy.message.msg_id]
+            message
+            for msg_id, message in node.buffer.items()
+            if not node.body_dropped(msg_id)
+            and message.alive_at(now)
+            and not exclude[msg_id]
         ]
 
     def indexed():
         return node.relay_candidates(now, exclude)
 
-    assert [c.message.msg_id for c in naive()] == [
-        c.message.msg_id for c in indexed()
-    ]
+    assert naive() == indexed()
     return {
         "buffer_size": buffer_size,
         "scan_naive_ns": round(_best_ns(naive, number), 1),

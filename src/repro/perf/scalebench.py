@@ -18,8 +18,9 @@ Two curve families:
 * ``contacts_vs`` — a fixed 10k-node universe at growing durations.
   The contact stream is never materialized (the heap holds only the
   in-flight frontier), but RSS is *not* flat: it grows with the
-  replicated state the epidemic spreads — slim buffered copies and a
-  per-node ``seen`` map of one byte per message — which grows with the
+  replicated state the epidemic spreads — per-copy buffer, relay-index
+  and expiry entries (every holder buffers the shared message) and
+  per-node byte maps of one byte per message — which grows with the
   contact count.  The report's notes state the measured growth.
 """
 
@@ -172,8 +173,9 @@ def scale_bench(
             "contact ingestion, not forwarding. contacts_vs grows the "
             f"stream at a fixed {contacts_nodes}-node universe; the "
             "stream is never materialized, but RSS still grows with "
-            "the epidemic's replicated state (slim buffered copies "
-            "and one seen byte per message per node)."
+            "the epidemic's replicated state (per-copy buffer and "
+            "relay-index entries, every holder buffering the shared "
+            "message, and per-node byte maps of one byte per message)."
             + _growth_note(contacts_vs)
         ),
     }

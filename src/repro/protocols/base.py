@@ -269,7 +269,9 @@ def make_room(ctx: SimulationContext, node: NodeState, now: float) -> None:
     if capacity is None:
         return
     bodies = [
-        copy for copy in node.buffer.values() if not copy.body_dropped
+        entry
+        for msg_id, entry in node.buffer.items()
+        if not node.body_dropped(msg_id)
     ]
     while len(bodies) >= capacity:
         # Risk-aware victim choice: a node's *own* messages carry no
@@ -277,17 +279,17 @@ def make_room(ctx: SimulationContext, node: NodeState, now: float) -> None:
         # earliest-expiring one has the least forwarding future left.
         victim = min(
             bodies,
-            key=lambda c: (
-                c.message.source != node.node_id,
-                c.message.expires_at,
+            key=lambda entry: (
+                entry.source != node.node_id,
+                entry.expires_at,
             ),
         )
-        node.drop(victim.message.msg_id, now, ctx.results)
+        node.drop(victim.msg_id, now, ctx.results)
         ctx.results.buffer_evictions += 1
         ctx.events.log(
             now,
             EventType.BUFFER_EVICTED,
-            msg_id=victim.message.msg_id,
+            msg_id=victim.msg_id,
             actor=node.node_id,
         )
         bodies.remove(victim)

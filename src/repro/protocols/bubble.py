@@ -18,9 +18,9 @@ generator's ground truth).
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set, cast
 
-from ..sim.messages import BufferedCopy, Message
+from ..sim.messages import Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
@@ -64,10 +64,7 @@ class BubbleRapForwarding(ForwardingProtocol):
 
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
-        source.store(
-            BufferedCopy(message=message, received_at=now), now,
-            self.ctx.results,
-        )
+        source.store(message, now, self.ctx.results)
         for peer in list(self.ctx.active_neighbors(message.source)):
             if self.ctx.usable_pair(message.source, peer):
                 self._offer(source, self.ctx.node(peer), now)
@@ -101,8 +98,11 @@ class BubbleRapForwarding(ForwardingProtocol):
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         results = self.ctx.results
         energy = self.ctx.config.energy
-        for copy in giver.relay_candidates(now, taker.seen):
-            message = copy.message
+        # Baselines buffer the shared message itself.
+        candidates = cast(
+            List[Message], giver.relay_candidates(now, taker.seen)
+        )
+        for message in candidates:
             destination = message.destination
             if taker.node_id != destination and not self._should_forward(
                 giver.node_id, taker.node_id, destination
@@ -121,14 +121,7 @@ class BubbleRapForwarding(ForwardingProtocol):
                 results.record_delivery(message, now)
                 continue
             make_room(self.ctx, taker, now)
-            taker.store(
-                BufferedCopy(
-                    message=message, received_at=now,
-                    received_from=giver.node_id,
-                ),
-                now,
-                results,
-            )
+            taker.store(message, now, results)
             keep = taker.strategy.keep_relayed_copy(
                 taker.node_id, message, giver.node_id, now
             )

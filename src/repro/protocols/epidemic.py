@@ -13,8 +13,10 @@ re-receive what it silently discarded.
 
 from __future__ import annotations
 
+from typing import List, cast
+
 from ..adversaries.base import Strategy
-from ..sim.messages import BufferedCopy, Message
+from ..sim.messages import Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
@@ -28,10 +30,7 @@ class EpidemicForwarding(ForwardingProtocol):
 
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
-        source.store(
-            BufferedCopy(message=message, received_at=now), now,
-            self.ctx.results,
-        )
+        source.store(message, now, self.ctx.results)
         # A message born during a contact spreads immediately.
         for peer in list(self.ctx.active_neighbors(message.source)):
             if self.ctx.usable_pair(message.source, peer):
@@ -56,7 +55,10 @@ class EpidemicForwarding(ForwardingProtocol):
         energy charges use ``transfer_cost``/``receive_cost``'s exact
         expressions, so the ledger floats are unchanged.
         """
-        candidates = giver.relay_candidates(now, taker.seen)
+        # Baselines buffer the shared message itself.
+        candidates = cast(
+            List[Message], giver.relay_candidates(now, taker.seen)
+        )
         if not candidates:
             return
         ctx = self.ctx
@@ -78,8 +80,7 @@ class EpidemicForwarding(ForwardingProtocol):
             if type(strategy).keep_relayed_copy is Strategy.keep_relayed_copy
             else strategy.keep_relayed_copy
         )
-        for copy in candidates:
-            message = copy.message
+        for message in candidates:
             msg_id = message.msg_id
             size = message.size_bytes
             results.relay_attempts += 1
@@ -96,15 +97,7 @@ class EpidemicForwarding(ForwardingProtocol):
                 continue
             if bounded:
                 make_room(ctx, taker, now)
-            taker.store(
-                BufferedCopy(
-                    message=message,
-                    received_at=now,
-                    received_from=giver_id,
-                ),
-                now,
-                results,
-            )
+            taker.store(message, now, results)
             if keep_hook is not None and not keep_hook(
                 taker_id, message, giver_id, now
             ):

@@ -19,9 +19,9 @@ destination exceeds the holder's (the GRTR strategy of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, cast
 
-from ..sim.messages import BufferedCopy, Message
+from ..sim.messages import Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
@@ -98,10 +98,7 @@ class ProphetForwarding(ForwardingProtocol):
 
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
-        source.store(
-            BufferedCopy(message=message, received_at=now), now,
-            self.ctx.results,
-        )
+        source.store(message, now, self.ctx.results)
         for peer in list(self.ctx.active_neighbors(message.source)):
             if self.ctx.usable_pair(message.source, peer):
                 self._offer(source, self.ctx.node(peer), now)
@@ -120,8 +117,11 @@ class ProphetForwarding(ForwardingProtocol):
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         results = self.ctx.results
         energy = self.ctx.config.energy
-        for copy in giver.relay_candidates(now, taker.seen):
-            message = copy.message
+        # Baselines buffer the shared message itself.
+        candidates = cast(
+            List[Message], giver.relay_candidates(now, taker.seen)
+        )
+        for message in candidates:
             destination = message.destination
             if taker.node_id != destination:
                 p_taker = self.predictability(taker.node_id, destination, now)
@@ -141,14 +141,7 @@ class ProphetForwarding(ForwardingProtocol):
                 results.record_delivery(message, now)
                 continue
             make_room(self.ctx, taker, now)
-            taker.store(
-                BufferedCopy(
-                    message=message, received_at=now,
-                    received_from=giver.node_id,
-                ),
-                now,
-                results,
-            )
+            taker.store(message, now, results)
             keep = taker.strategy.keep_relayed_copy(
                 taker.node_id, message, giver.node_id, now
             )

@@ -22,7 +22,7 @@ implements exactly that versioning with lazy frame rollover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..traces.trace import NodeId
 
@@ -85,10 +85,12 @@ class QualityTracker:
             raise ValueError("timeframe must be positive")
         self.variant = variant
         self.timeframe = timeframe
-        self._records: Dict[FrozenSet[NodeId], _PairRecord] = {}
+        # Keyed by the unordered pair as ``(min, max)``: a tuple of two
+        # ints hashes and compares faster than a frozenset.
+        self._records: Dict[Tuple[NodeId, NodeId], _PairRecord] = {}
 
     def _record(self, a: NodeId, b: NodeId) -> _PairRecord:
-        key = frozenset((a, b))
+        key = (a, b) if a <= b else (b, a)
         record = self._records.get(key)
         if record is None:
             record = self._records[key] = _PairRecord()

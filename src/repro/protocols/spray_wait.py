@@ -15,16 +15,12 @@ directly to the destination (the *wait* phase).
 
 from __future__ import annotations
 
-from ..sim.messages import BufferedCopy, Message
+from typing import List, cast
+
+from ..sim.messages import Message
 from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
-
-#: Key under which the token count is stored on a copy's attachments
-#: slot (kept out of BufferedCopy's typed fields: tokens are specific to
-#: this protocol).
-_TOKENS = "spray_tokens"
-
 
 class SprayAndWaitForwarding(ForwardingProtocol):
     """Binary Spray and Wait with configurable initial copy budget."""
@@ -54,10 +50,7 @@ class SprayAndWaitForwarding(ForwardingProtocol):
 
     def on_message_generated(self, message: Message, now: float) -> None:
         source = self.ctx.node(message.source)
-        source.store(
-            BufferedCopy(message=message, received_at=now), now,
-            self.ctx.results,
-        )
+        source.store(message, now, self.ctx.results)
         self._tokens[self._token_key(message.source, message.msg_id)] = (
             self.initial_copies
         )
@@ -81,8 +74,11 @@ class SprayAndWaitForwarding(ForwardingProtocol):
     def _offer(self, giver: NodeState, taker: NodeState, now: float) -> None:
         results = self.ctx.results
         energy = self.ctx.config.energy
-        for copy in giver.relay_candidates(now, taker.seen):
-            message = copy.message
+        # Baselines buffer the shared message itself.
+        candidates = cast(
+            List[Message], giver.relay_candidates(now, taker.seen)
+        )
+        for message in candidates:
             tokens = self.tokens_of(giver.node_id, message.msg_id)
             is_destination = taker.node_id == message.destination
             if not is_destination and tokens <= 1:
@@ -107,14 +103,7 @@ class SprayAndWaitForwarding(ForwardingProtocol):
                 handed
             )
             make_room(self.ctx, taker, now)
-            taker.store(
-                BufferedCopy(
-                    message=message, received_at=now,
-                    received_from=giver.node_id,
-                ),
-                now,
-                results,
-            )
+            taker.store(message, now, results)
             keep = taker.strategy.keep_relayed_copy(
                 taker.node_id, message, giver.node_id, now
             )

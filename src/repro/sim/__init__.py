@@ -3,14 +3,13 @@
 from .config import EnergyModel, SimulationConfig, config_for
 from .engine import ChurnEvent, ChurnService, Simulation, run_simulation
 from .events import Event, EventKind, EventQueue, Scheduler, TimerHandle, TimerOwner
-from .messages import BufferedCopy, Message, StoredCopy
+from .messages import Message, StoredCopy
 from .node import NodeState
 from .results import DetectionRecord, MessageRecord, SimulationResults
 from .serialize import load_results, results_from_dict, results_to_dict, save_results
 from .traffic import PoissonTraffic, TrafficDemand, demands_to_messages
 
 __all__ = [
-    "BufferedCopy",
     "ChurnEvent",
     "ChurnService",
     "DetectionRecord",

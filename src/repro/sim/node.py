@@ -6,25 +6,40 @@ handled a message with hash H(m)?" — step 1 of the relay phase), its
 strategy, optional cryptographic identity, and running energy/memory
 accounting.
 
+The buffer maps a message id to what the node holds of it: the run's
+shared, frozen :class:`~repro.sim.messages.Message` for the baselines
+(they keep no per-copy state, so relaying allocates nothing per
+holder) or a G2G :class:`~repro.sim.messages.StoredCopy`.  Both answer
+the header fields the node reads (``msg_id``, ``expires_at``,
+``size_bytes``).
+
 Handled ids live in ``seen``, a ``bytearray`` with one byte per
 message indexed by the engine's dense per-run ``msg_id`` (1 once
 handled).  It grows on demand as ids are marked, so a node that never
 meets a message's copies pays nothing for it, and the offer scan's
 "has the taker handled this?" is one subscript rather than a set probe.
+A second byte map, ``_status``, indexed the same way, holds each held
+copy's state: relayable, or body discarded.
 
 Buffer mutations go through the ``store`` / ``drop`` helpers so that
 memory byte-seconds are integrated correctly: every mutation first
 settles the buffer-size integral up to ``now``, then applies.
 
-Relay-eligible copies (body present, TTL not yet expired) are kept in
-a side index maintained by the same mutation helpers: an
-insertion-ordered dict of candidates plus a sorted expiry array (a
-stdlib ``array('d')`` of ``expires_at`` values with a parallel id
-list, maintained by ``bisect``).  ``relay_candidates`` compares
-``now`` against the *earliest* expiry once and, in the common
-all-alive case, sweeps the index without touching a single
-``Message`` object or hashing a single id; expired entries are
-compacted lazily at the first query that can observe them.  This
+Relay-eligible copies (body present, TTL not yet expired) are indexed
+by the same mutation helpers: an insertion-ordered ``array('q')`` of
+message ids whose ``_status`` byte says whether the entry is still
+live, plus a sorted expiry array (a stdlib ``array('d')`` of
+``expires_at`` values with a parallel id list, maintained by
+``bisect``).  Removing a copy from the index only resets its status
+and leaves a tombstone in the id array.  Tombstones are compacted
+away once they outnumber the live entries, and before an id handled
+earlier (the only kind that can have one) is stored again, so every
+id appears at most once and the candidate order is the order of the
+latest stores.
+``relay_candidates`` compares ``now`` against the *earliest* expiry
+once and, in the common all-alive case, sweeps the id array with two
+byte subscripts per entry and no ``Message`` reads; expired entries
+are retired lazily at the first query that can observe them.  This
 replaces the per-copy TTL timers of the earlier design — the timers
 were pure compaction (results were identical with or without them
 firing), so dropping them removes one scheduler event per stored copy
@@ -48,23 +63,35 @@ from ..adversaries.base import HONEST, Strategy
 from ..crypto.keys import NodeIdentity
 from ..perf.counters import COUNTERS
 from ..traces.trace import NodeId
-from .messages import BufferedCopy
+from .messages import BufferEntry
 from .results import SimulationResults
 
+# ``NodeState._status`` holds one of these per message id, or 0 for an
+# id not held, or held with its TTL found expired.
 
-@dataclass
+#: Held with its body, TTL not yet found expired: a relay candidate,
+#: with an entry in the expiry sidecar.
+_RELAYABLE = 1
+#: Held with its payload discarded.
+_BODY_DROPPED = 2
+
+
+@dataclass(slots=True)
 class NodeState:
     """Mutable runtime state of one node.
+
+    Slotted: a streamed run holds one per node of a 10k-node universe.
 
     Attributes:
         node_id: the node's identifier (matches the trace).
         strategy: behavioral strategy (honest or a deviation).
         identity: cryptographic identity (G2G protocols only).
-        buffer: live message copies by message id.
+        buffer: what the node holds per message id — the shared
+            message (baselines) or a G2G copy.
         seen: one byte per message id, 1 if this node has handled
             the message at some point — the honest answer to a
             RELAY_RQST.  Ids past its end are unseen; it grows through
-            :meth:`mark_seen` (and the offer scan's
+            :meth:`store` and :meth:`mark_seen` (and the offer scan's
             :meth:`relay_candidates`), never shrinks.
         evicted: True once removed from the network by a PoM.
         departed: True while the node has churned out of the network
@@ -80,7 +107,7 @@ class NodeState:
     node_id: NodeId
     strategy: Strategy = HONEST
     identity: Optional[NodeIdentity] = None
-    buffer: Dict[int, BufferedCopy] = field(default_factory=dict)
+    buffer: Dict[int, BufferEntry] = field(default_factory=dict)
     seen: bytearray = field(default_factory=bytearray)
     evicted: bool = False
     departed: bool = False
@@ -88,16 +115,23 @@ class NodeState:
     extra: Dict[str, Any] = field(default_factory=dict)
     _buffer_bytes: int = 0
     _memory_clock: float = 0.0
-    # Relay-candidate index: insertion-ordered copies whose body is
-    # present and whose TTL has not yet been found expired.  The
-    # sorted expiry sidecar (`_expiry_times` ascending, `_expiry_ids`
-    # parallel) lets queries detect "nothing here is expired" in O(1)
-    # and compact the stale tail in O(expired).  Maintained by
+    # Per-copy state by message id (``_RELAYABLE``, ``_BODY_DROPPED``
+    # or 0); grows like ``seen``, cleared by flush.
+    _status: bytearray = field(
+        default_factory=bytearray, repr=False, compare=False
+    )
+    # Relay-candidate index: message ids in store order, live while
+    # their status is ``_RELAYABLE``, tombstones otherwise; ``_live``
+    # counts the live ones.  The sorted expiry sidecar
+    # (`_expiry_times` ascending, `_expiry_ids` parallel) holds exactly
+    # the live ids, so queries detect "nothing here is expired" in O(1)
+    # and retire the stale head in O(expired).  Maintained by
     # store/drop/drop_body/flush; excluded from equality so two nodes
     # with identical buffers compare equal regardless of scan history.
-    _relayable: Dict[int, BufferedCopy] = field(
-        default_factory=dict, repr=False, compare=False
+    _relay_ids: array = field(
+        default_factory=lambda: array("q"), repr=False, compare=False
     )
+    _live: int = field(default=0, repr=False, compare=False)
     _expiry_times: array = field(
         default_factory=lambda: array("d"), repr=False, compare=False
     )
@@ -151,6 +185,11 @@ class NodeState:
             seen.extend(bytes(missing))
         seen[msg_id] = 1
 
+    def body_dropped(self, msg_id: int) -> bool:
+        """True while a copy is held with its payload discarded."""
+        status = self._status
+        return 0 <= msg_id < len(status) and status[msg_id] == _BODY_DROPPED
+
     # -- memory-accounted buffer mutations -----------------------------
 
     def _settle_memory(self, now: float, results: SimulationResults) -> None:
@@ -164,45 +203,65 @@ class NodeState:
             self._memory_clock = now
 
     def store(
-        self, copy: BufferedCopy, now: float, results: SimulationResults
-    ) -> BufferedCopy:
-        """Buffer a new copy (marks the message as seen).
+        self, entry: BufferEntry, now: float, results: SimulationResults
+    ) -> BufferEntry:
+        """Buffer a new copy, body present (marks the message as seen).
 
         Raises:
             ValueError: if a copy of the same message is already held.
         """
-        msg_id = copy.message.msg_id
-        if msg_id in self.buffer:
+        msg_id = entry.msg_id
+        buffer = self.buffer
+        if msg_id in buffer:
             raise ValueError(
                 f"node {self.node_id} already holds message {msg_id}"
             )
         self._settle_memory(now, results)
-        self.buffer[msg_id] = copy
-        self.mark_seen(msg_id)
-        self._buffer_bytes += copy.message.size_bytes
-        expires_at = copy.message.expires_at
+        buffer[msg_id] = entry
+        seen = self.seen
+        missing = msg_id + 1 - len(seen)
+        if missing > 0:
+            seen.extend(bytes(missing))
+            handled = False
+        else:
+            handled = seen[msg_id] == 1
+        seen[msg_id] = 1
+        self._buffer_bytes += entry.size_bytes
+        expires_at = entry.expires_at
         if expires_at < self._purge_floor:
             self._purge_floor = expires_at
-        if not copy.body_dropped:
-            self._relayable[msg_id] = copy
-            index = bisect_right(self._expiry_times, expires_at)
-            self._expiry_times.insert(index, expires_at)
-            self._expiry_ids.insert(index, msg_id)
-        return copy
+        status = self._status
+        missing = msg_id + 1 - len(status)
+        if missing > 0:
+            status.extend(bytes(missing))
+        # Only an id handled before can have a tombstone (from an
+        # earlier copy); it must go first, so the id is listed once, at
+        # this store's position.
+        if handled or len(self._relay_ids) > 2 * self._live:
+            self._compact_index()
+        self._relay_ids.append(msg_id)
+        status[msg_id] = _RELAYABLE
+        self._live += 1
+        index = bisect_right(self._expiry_times, expires_at)
+        self._expiry_times.insert(index, expires_at)
+        self._expiry_ids.insert(index, msg_id)
+        return entry
 
     def drop(
         self, msg_id: int, now: float, results: SimulationResults
-    ) -> Optional[BufferedCopy]:
+    ) -> Optional[BufferEntry]:
         """Remove a copy entirely (body and bookkeeping)."""
-        copy = self.buffer.pop(msg_id, None)
-        if copy is not None:
+        entry = self.buffer.pop(msg_id, None)
+        if entry is not None:
             self._settle_memory(now, results)
-            self._buffer_bytes -= (
-                0 if copy.body_dropped else copy.message.size_bytes
-            )
-            if self._relayable.pop(msg_id, None) is not None:
-                self._index_discard(msg_id, copy.message.expires_at)
-        return copy
+            status = self._status
+            state = status[msg_id]
+            if state != _BODY_DROPPED:
+                self._buffer_bytes -= entry.size_bytes
+            if state == _RELAYABLE:
+                self._retire(msg_id, entry.expires_at)
+            status[msg_id] = 0
+        return entry
 
     def drop_body(
         self, msg_id: int, now: float, results: SimulationResults
@@ -212,14 +271,18 @@ class NodeState:
         Models the G2G rule that a relay may free the message once two
         proofs of relay are collected (the proofs stay until Δ2).
         """
-        copy = self.buffer.get(msg_id)
-        if copy is None or copy.body_dropped:
+        entry = self.buffer.get(msg_id)
+        if entry is None:
+            return
+        status = self._status
+        state = status[msg_id]
+        if state == _BODY_DROPPED:
             return
         self._settle_memory(now, results)
-        copy.body_dropped = True
-        self._buffer_bytes -= copy.message.size_bytes
-        if self._relayable.pop(msg_id, None) is not None:
-            self._index_discard(msg_id, copy.message.expires_at)
+        self._buffer_bytes -= entry.size_bytes
+        if state == _RELAYABLE:
+            self._retire(msg_id, entry.expires_at)
+        status[msg_id] = _BODY_DROPPED
 
     def purge_expired(
         self, now: float, results: SimulationResults
@@ -237,8 +300,8 @@ class NodeState:
             return []
         expired: List[int] = []
         floor = inf
-        for msg_id, copy in self.buffer.items():
-            expires_at = copy.message.expires_at
+        for msg_id, entry in self.buffer.items():
+            expires_at = entry.expires_at
             if now < expires_at:
                 if expires_at < floor:
                     floor = expires_at
@@ -254,15 +317,22 @@ class NodeState:
         self._settle_memory(now, results)
         self.buffer.clear()
         self._buffer_bytes = 0
-        self._relayable.clear()
+        del self._status[:]
+        del self._relay_ids[:]
+        self._live = 0
         del self._expiry_times[:]
         self._expiry_ids.clear()
         self._purge_floor = inf
 
     # -- relay-candidate index -----------------------------------------
 
-    def _index_discard(self, msg_id: int, expires_at: float) -> None:
-        """Remove one entry from the sorted expiry sidecar."""
+    def _retire(self, msg_id: int, expires_at: float) -> None:
+        """Take one live entry out of the count and the expiry sidecar.
+
+        The caller resets the id's status, which leaves a tombstone in
+        the id array.
+        """
+        self._live -= 1
         times = self._expiry_times
         ids = self._expiry_ids
         index = bisect_left(times, expires_at)
@@ -274,8 +344,22 @@ class NodeState:
                 return
             index += 1
 
+    def _compact_index(self) -> None:
+        """Rebuild the id array without its tombstones, order kept.
+
+        Called when tombstones outnumber live entries (so the sweep
+        stays O(live), amortized O(1) per retirement) and before an id
+        with a tombstone is stored again.
+        """
+        status = self._status
+        self._relay_ids = array("q", [
+            msg_id
+            for msg_id in self._relay_ids
+            if status[msg_id] == _RELAYABLE
+        ])
+
     def _compact_expired(self, now: float) -> None:
-        """Drop every index entry whose TTL has passed (``<= now``).
+        """Retire every index entry whose TTL has passed (``<= now``).
 
         Query-time compaction: callers invoke this only after the O(1)
         earliest-expiry check says something actually expired, so the
@@ -283,16 +367,17 @@ class NodeState:
         """
         times = self._expiry_times
         count = bisect_right(times, now)
-        relayable = self._relayable
+        status = self._status
         ids = self._expiry_ids
         for msg_id in ids[:count]:
-            relayable.pop(msg_id, None)
+            status[msg_id] = 0
+        self._live -= count
         del times[:count]
         del ids[:count]
 
     def relay_candidates(
         self, now: float, exclude: bytearray
-    ) -> List[BufferedCopy]:
+    ) -> List[BufferEntry]:
         """Live copies whose message id is not marked in ``exclude``.
 
         The per-pair offer scan: ``exclude`` is the taker's ``seen``
@@ -301,24 +386,28 @@ class NodeState:
         answered in bulk, before any signing work).  Every buffered id
         is marked in this node's own ``seen``, so growing ``exclude``
         to that length (one O(1) compare, zero-filled) makes every
-        lookup in range.  The expired tail is compacted first, so the
-        sweep itself is a pure dict iteration with one subscript per
-        entry — no per-entry ``expires_at`` reads — in the index's
-        insertion order.
+        lookup in range.  The expired head is retired first, so the
+        sweep itself is a pure id-array iteration with two byte
+        subscripts per entry — no per-entry ``expires_at`` reads — in
+        store order.
         """
         COUNTERS.buffer_scans += 1
         times = self._expiry_times
         if times and times[0] <= now:
             self._compact_expired(now)
-        relayable = self._relayable
-        COUNTERS.buffer_scanned += len(relayable)
-        if not relayable:
+        live = self._live
+        COUNTERS.buffer_scanned += live
+        if not live:
             return []
+        if len(self._relay_ids) > 2 * live:
+            self._compact_index()
         missing = len(self.seen) - len(exclude)
         if missing > 0:
             exclude.extend(bytes(missing))
+        status = self._status
+        buffer = self.buffer
         return [
-            copy
-            for msg_id, copy in relayable.items()
-            if not exclude[msg_id]
+            buffer[msg_id]
+            for msg_id in self._relay_ids
+            if not exclude[msg_id] and status[msg_id] == _RELAYABLE
         ]

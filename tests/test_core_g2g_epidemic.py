@@ -117,7 +117,7 @@ class TestGive2Rule:
         meet(protocol, 1, 2, 20.0)
         meet(protocol, 1, 3, 30.0)
         copy = ctx.node(1).buffer[0]
-        assert copy.body_dropped
+        assert ctx.node(1).body_dropped(0)
         assert len(copy.proofs) == 2
 
     def test_source_exceeds_cap_by_default(self):
@@ -126,7 +126,7 @@ class TestGive2Rule:
         for peer in (1, 2, 3, 4):
             meet(protocol, 0, peer, 10.0 * peer)
         assert all(ctx.node(p).has_copy(0) for p in (1, 2, 3, 4))
-        assert not ctx.node(0).buffer[0].body_dropped
+        assert not ctx.node(0).body_dropped(0)
 
     def test_source_cap_configurable(self):
         protocol, ctx = harness(cfg=config(source_fanout=2))

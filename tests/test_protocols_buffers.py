@@ -33,7 +33,7 @@ class TestMakeRoom:
         ctx = FakeCtx(None)
         node = NodeState(node_id=1)
         for i in range(5):
-            node.store(StoredCopy(message=msg(i), received_at=0.0), 0.0,
+            node.store(StoredCopy(message=msg(i)), 0.0,
                        ctx.results)
         make_room(ctx, node, 1.0)
         assert len(node.buffer) == 5
@@ -43,7 +43,7 @@ class TestMakeRoom:
         ctx = FakeCtx(3)
         node = NodeState(node_id=1)
         for i in range(3):
-            node.store(StoredCopy(message=msg(i), received_at=0.0), 0.0,
+            node.store(StoredCopy(message=msg(i)), 0.0,
                        ctx.results)
         make_room(ctx, node, 1.0)
         # msg 0 expires first -> evicted
@@ -56,11 +56,11 @@ class TestMakeRoom:
         node = NodeState(node_id=1)
         # Relayed copies expire earlier than the node's own message,
         # but the own message is risk-free so it must go first.
-        node.store(StoredCopy(message=msg(0, source=0), received_at=0.0),
+        node.store(StoredCopy(message=msg(0, source=0)),
                    0.0, ctx.results)
-        node.store(StoredCopy(message=msg(1, source=0), received_at=0.0),
+        node.store(StoredCopy(message=msg(1, source=0)),
                    0.0, ctx.results)
-        node.store(StoredCopy(message=msg(5, source=1), received_at=0.0),
+        node.store(StoredCopy(message=msg(5, source=1)),
                    0.0, ctx.results)
         make_room(ctx, node, 1.0)
         assert not node.has_copy(5)  # own-sourced victim
@@ -70,7 +70,7 @@ class TestMakeRoom:
         ctx = FakeCtx(2)
         node = NodeState(node_id=1)
         for i in range(3):
-            node.store(StoredCopy(message=msg(i), received_at=0.0), 0.0,
+            node.store(StoredCopy(message=msg(i)), 0.0,
                        ctx.results)
         node.drop_body(0, 0.5, ctx.results)
         node.drop_body(1, 0.5, ctx.results)

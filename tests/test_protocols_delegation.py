@@ -69,8 +69,8 @@ class TestForwardingRule:
         inject(protocol, ctx, source=0, destination=3, created=500.0)
         protocol.on_contact_start(0, 1, 2000.0)
         # Both copies labelled with node 1's quality (2 encounters).
-        assert ctx.node(0).buffer[0].quality == 2.0
-        assert ctx.node(1).buffer[0].quality == 2.0
+        assert protocol.quality_of(0, 0) == 2.0
+        assert protocol.quality_of(1, 0) == 2.0
 
     def test_destination_always_delivered(self):
         trace = quality_ladder_trace()
@@ -86,7 +86,7 @@ class TestForwardingRule:
         trace = quality_ladder_trace()
         protocol, ctx = harness(trace, variant="frequency")
         inject(protocol, ctx, source=1, destination=3, created=50.0)
-        assert ctx.node(1).buffer[0].quality == 0.0
+        assert protocol.quality_of(1, 0) == 0.0
 
     def test_variant_in_name(self):
         assert DelegationForwarding("frequency").name == "delegation_frequency"

@@ -28,7 +28,7 @@ def _stored(msg_id: int, now: float = 0.0, ttl: float = 600.0) -> StoredCopy:
         msg_id=msg_id, source=98, destination=99,
         created_at=now, ttl=ttl, size_bytes=64,
     )
-    return StoredCopy(message=message, received_at=now)
+    return StoredCopy(message=message)
 
 
 class TestChurnEvents:
@@ -75,18 +75,30 @@ class TestDepartRejoin:
         node = NodeState(node_id=1)
         node.store(_stored(1), 0.0, results)
         node.store(_stored(2), 0.0, results)
-        assert node._relayable and len(node._expiry_times) == 2
+
+        def offered(now):
+            return [c.msg_id for c in node.relay_candidates(now, bytearray())]
+
+        assert offered(0.0) == [1, 2]
         node.depart(100.0, results)
         assert node.departed and not node.participating
         assert node.buffer == {}
-        assert node._relayable == {}
-        # The TTL-expiry index (the sorted array that replaced the
-        # per-copy scheduler timers) must clear with the buffer.
-        assert len(node._expiry_times) == 0 and node._expiry_ids == []
+        # The relay index and its TTL-expiry sidecar (the sorted array
+        # that replaced the per-copy scheduler timers) clear with the
+        # buffer: nothing is offered and nothing is left to purge.
+        assert offered(100.0) == []
+        assert node.purge_expired(700.0, results) == []
         # The node registers nothing on the scheduler, so a later
         # drain has nothing to corrupt.
         scheduler.dispatch_until(1200.0)
-        assert node.buffer == {} and node._relayable == {}
+        assert node.buffer == {} and offered(1200.0) == []
+        # A fresh store after rejoining is the only candidate, and
+        # expires on its own TTL.
+        node.rejoin(1300.0)
+        node.store(_stored(2, now=1300.0), 1300.0, results)
+        assert offered(1300.0) == [2]
+        assert offered(1900.0) == []
+        assert node.purge_expired(1900.0, results) == [2]
 
     def test_depart_is_idempotent_and_keeps_seen(self):
         results = SimulationResults()

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.sim.messages import BufferedCopy, Message, StoredCopy
+from repro.sim.messages import Message, StoredCopy
 
 
 def msg(**overrides):
@@ -46,55 +46,48 @@ class TestMessage:
         assert msg(msg_id=0).msg_id == 0
 
 
-class TestBufferedCopy:
-    def test_carries_only_what_every_protocol_reads(self):
-        copy = BufferedCopy(message=msg(), received_at=100.0)
-        assert copy.received_from is None
-        assert copy.quality == 0.0
-        assert not copy.body_dropped
-        for name in ("relays", "proofs", "attachments"):
-            assert not hasattr(copy, name)
-
-    def test_slotted(self):
-        copy = BufferedCopy(message=msg(), received_at=0.0)
-        assert not hasattr(copy, "__dict__")
-        with pytest.raises(AttributeError):
-            copy.ad_hoc = 1
-
-    def test_stored_copy_extends_it(self):
-        assert isinstance(StoredCopy(message=msg(), received_at=0.0), BufferedCopy)
-
-
 class TestStoredCopy:
     def test_defaults(self):
-        copy = StoredCopy(message=msg(), received_at=100.0)
+        copy = StoredCopy(message=msg())
         assert copy.num_relays == 0
-        assert copy.received_from is None
-        assert not copy.body_dropped
+        assert copy.quality == 0.0
+        assert copy.relays == [] and copy.proofs == []
+        assert copy.attachments == []
+
+    def test_keeps_no_write_only_or_node_state(self):
+        # Arrival time and giver were never read; whether the body
+        # was dropped is node state (NodeState.body_dropped).
+        copy = StoredCopy(message=msg())
+        for name in ("received_at", "received_from", "body_dropped"):
+            assert not hasattr(copy, name)
+
+    def test_reads_the_message_header(self):
+        message = msg(msg_id=3, size_bytes=512)
+        copy = StoredCopy(message=message)
+        assert copy.msg_id == 3
+        assert copy.source == message.source
+        assert copy.expires_at == message.expires_at
+        assert copy.size_bytes == 512
 
     def test_memory_accounting(self):
-        copy = StoredCopy(message=msg(size_bytes=2048), received_at=0.0)
-        assert copy.memory_bytes() == 2048
+        copy = StoredCopy(message=msg(size_bytes=2048))
+        assert copy.memory_bytes(body_dropped=False) == 2048
         copy.proofs.append(object())
-        assert copy.memory_bytes(proof_size=64) == 2048 + 64
-        copy.body_dropped = True
-        assert copy.memory_bytes(proof_size=64) == 64
+        assert copy.memory_bytes(False, proof_size=64) == 2048 + 64
+        assert copy.memory_bytes(True, proof_size=64) == 64
 
     def test_relay_tracking(self):
-        copy = StoredCopy(message=msg(), received_at=0.0)
+        copy = StoredCopy(message=msg())
         copy.relays.extend([3, 4])
         assert copy.num_relays == 2
 
     def full_copy(self):
         return StoredCopy(
             message=msg(size_bytes=512),
-            received_at=150.0,
-            received_from=2,
             quality=0.5,
             relays=[3, 4],
             proofs=[("por", 3, b"sig-3"), ("por", 4, b"sig-4")],
             attachments=[("declaration", 7, 0.25)],
-            body_dropped=True,
         )
 
     def test_pickle_round_trip(self):
@@ -104,7 +97,7 @@ class TestStoredCopy:
         assert restored.relays == [3, 4]
         assert restored.proofs == copy.proofs
         assert restored.attachments == copy.attachments
-        assert restored.body_dropped
+        assert restored.quality == 0.5
 
     def test_replace_keeps_every_field(self):
         copy = self.full_copy()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.messages import BufferedCopy, Message, StoredCopy
+from repro.sim.messages import Message, StoredCopy
 from repro.sim.node import NodeState
 from repro.sim.results import SimulationResults
 
@@ -30,19 +30,19 @@ def node():
 
 class TestBuffer:
     def test_store_marks_seen(self, node, results):
-        node.store(StoredCopy(message=msg(), received_at=10.0), 10.0, results)
+        node.store(StoredCopy(message=msg()), 10.0, results)
         assert node.has_copy(1)
         assert node.has_seen(1)
 
     def test_double_store_rejected(self, node, results):
-        node.store(StoredCopy(message=msg(), received_at=10.0), 10.0, results)
+        node.store(StoredCopy(message=msg()), 10.0, results)
         with pytest.raises(ValueError):
             node.store(
-                StoredCopy(message=msg(), received_at=11.0), 11.0, results
+                StoredCopy(message=msg()), 11.0, results
             )
 
     def test_drop_keeps_seen(self, node, results):
-        node.store(StoredCopy(message=msg(), received_at=10.0), 10.0, results)
+        node.store(StoredCopy(message=msg()), 10.0, results)
         node.drop(1, 20.0, results)
         assert not node.has_copy(1)
         assert node.has_seen(1)
@@ -51,12 +51,12 @@ class TestBuffer:
         assert node.drop(99, 0.0, results) is None
 
     def test_live_copies_filters_expired(self, node, results):
-        node.store(StoredCopy(message=msg(), received_at=0.0), 0.0, results)
+        node.store(StoredCopy(message=msg()), 0.0, results)
         assert len(node.relay_candidates(100.0, bytearray())) == 1
         assert node.relay_candidates(600.0, bytearray()) == []
 
     def test_live_copies_filters_dropped_bodies(self, node, results):
-        node.store(StoredCopy(message=msg(), received_at=0.0), 0.0, results)
+        node.store(StoredCopy(message=msg()), 0.0, results)
         node.drop_body(1, 50.0, results)
         assert node.relay_candidates(100.0, bytearray()) == []
         assert node.has_copy(1)  # record still there
@@ -65,14 +65,14 @@ class TestBuffer:
 class TestMemoryAccounting:
     def test_byte_seconds_integrated(self, node, results):
         node.store(
-            StoredCopy(message=msg(size=1000), received_at=0.0), 0.0, results
+            StoredCopy(message=msg(size=1000)), 0.0, results
         )
         node.drop(1, 10.0, results)
         assert results.memory_byte_seconds[3] == pytest.approx(10_000.0)
 
     def test_body_drop_stops_accumulation(self, node, results):
         node.store(
-            StoredCopy(message=msg(size=1000), received_at=0.0), 0.0, results
+            StoredCopy(message=msg(size=1000)), 0.0, results
         )
         node.drop_body(1, 10.0, results)
         node.flush(20.0, results)
@@ -81,7 +81,7 @@ class TestMemoryAccounting:
 
     def test_flush_settles(self, node, results):
         node.store(
-            StoredCopy(message=msg(size=500), received_at=0.0), 0.0, results
+            StoredCopy(message=msg(size=500)), 0.0, results
         )
         node.flush(4.0, results)
         assert results.memory_byte_seconds[3] == pytest.approx(2_000.0)
@@ -89,17 +89,17 @@ class TestMemoryAccounting:
 
     def test_multiple_copies_sum(self, node, results):
         node.store(
-            StoredCopy(message=msg(1, size=100), received_at=0.0), 0.0, results
+            StoredCopy(message=msg(1, size=100)), 0.0, results
         )
         node.store(
-            StoredCopy(message=msg(2, size=300), received_at=0.0), 0.0, results
+            StoredCopy(message=msg(2, size=300)), 0.0, results
         )
         node.flush(10.0, results)
         assert results.memory_byte_seconds[3] == pytest.approx(4_000.0)
 
     def test_double_body_drop_is_idempotent(self, node, results):
         node.store(
-            StoredCopy(message=msg(size=1000), received_at=0.0), 0.0, results
+            StoredCopy(message=msg(size=1000)), 0.0, results
         )
         node.drop_body(1, 5.0, results)
         node.drop_body(1, 6.0, results)
@@ -118,7 +118,7 @@ def expiring(i, expires_at, size=1000):
 class TestPurgeFloor:
     def store(self, node, results, i, expires_at, now=0.0):
         node.store(
-            StoredCopy(message=expiring(i, expires_at), received_at=now),
+            StoredCopy(message=expiring(i, expires_at)),
             now,
             results,
         )
@@ -139,7 +139,7 @@ class TestPurgeFloor:
         # the relay index while the copy stays buffered.
         self.store(node, results, 1, 600.0)
         self.store(node, results, 2, 900.0)
-        assert [c.message.msg_id for c in node.relay_candidates(
+        assert [c.msg_id for c in node.relay_candidates(
             700.0, bytearray()
         )] == [2]
         assert node.has_copy(1)
@@ -204,7 +204,7 @@ class TestSeenMap:
         assert not node.has_seen(-1)
 
     def test_seen_survives_depart_and_rejoin(self, node, results):
-        node.store(StoredCopy(message=msg(2), received_at=0.0), 0.0, results)
+        node.store(StoredCopy(message=msg(2)), 0.0, results)
         node.mark_seen(5)
         node.depart(10.0, results)
         assert node.has_seen(2) and node.has_seen(5)
@@ -214,27 +214,115 @@ class TestSeenMap:
 
     def test_short_taker_is_grown_to_the_giver(self, node, results):
         for i in (1, 6, 3):
-            node.store(
-                BufferedCopy(message=msg(i), received_at=0.0), 0.0, results
-            )
+            node.store(msg(i), 0.0, results)
         taker = NodeState(node_id=4)
         taker.mark_seen(1)
         assert len(taker.seen) < len(node.seen)
         offered = node.relay_candidates(10.0, taker.seen)
-        assert [c.message.msg_id for c in offered] == [6, 3]
+        assert [c.msg_id for c in offered] == [6, 3]
         assert len(taker.seen) == len(node.seen)
         # Growth only zero-fills: nothing new counts as seen.
         assert [i for i in range(10) if taker.has_seen(i)] == [1]
 
     def test_longer_taker_is_left_alone(self, node, results):
-        node.store(
-            BufferedCopy(message=msg(2), received_at=0.0), 0.0, results
-        )
+        node.store(msg(2), 0.0, results)
         taker = NodeState(node_id=4)
         taker.mark_seen(50)
         offered = node.relay_candidates(10.0, taker.seen)
-        assert [c.message.msg_id for c in offered] == [2]
+        assert [c.msg_id for c in offered] == [2]
         assert len(taker.seen) == 51
+
+
+def ids(node, now=10.0):
+    return [c.msg_id for c in node.relay_candidates(now, bytearray())]
+
+
+class TestRelayIndex:
+    def test_store_buffers_the_entry_itself(self, node, results):
+        message = msg(4)
+        node.store(message, 0.0, results)
+        assert node.buffer[4] is message
+        assert node.relay_candidates(10.0, bytearray())[0] is message
+
+    def test_restore_after_drop_is_one_candidate_at_the_new_position(
+        self, node, results
+    ):
+        for i in (1, 2, 3):
+            node.store(msg(i), 0.0, results)
+        node.drop(1, 5.0, results)
+        node.store(msg(1), 6.0, results)
+        assert ids(node) == [2, 3, 1]
+        assert list(node._relay_ids).count(1) == 1
+
+    def test_restore_after_drop_body_and_drop(self, node, results):
+        node.store(StoredCopy(message=msg(1)), 0.0, results)
+        node.store(StoredCopy(message=msg(2)), 0.0, results)
+        node.drop_body(1, 5.0, results)
+        node.drop(1, 6.0, results)
+        node.store(StoredCopy(message=msg(1)), 7.0, results)
+        assert ids(node) == [2, 1]
+        assert not node.body_dropped(1)
+
+    def test_drop_body(self, node, results):
+        node.store(StoredCopy(message=msg(1)), 0.0, results)
+        node.store(StoredCopy(message=msg(2)), 0.0, results)
+        node.drop_body(1, 5.0, results)
+        assert node.body_dropped(1) and not node.body_dropped(2)
+        assert ids(node) == [2]
+        assert node.has_copy(1)
+        node.drop(1, 6.0, results)
+        assert not node.body_dropped(1)
+        # Absent and never-seen ids report no dropped body.
+        assert not node.body_dropped(2) and not node.body_dropped(99)
+        assert not node.body_dropped(-1)
+
+    def test_depart_rejoin_flushes_the_index(self, node, results):
+        node.store(StoredCopy(message=msg(1)), 0.0, results)
+        node.store(StoredCopy(message=msg(2)), 0.0, results)
+        node.drop_body(2, 5.0, results)
+        node.depart(10.0, results)
+        assert node.buffer == {} and ids(node) == []
+        assert not node.body_dropped(2)
+        node.rejoin(20.0)
+        node.store(StoredCopy(message=msg(2)), 20.0, results)
+        node.store(StoredCopy(message=msg(1)), 20.0, results)
+        assert ids(node, 30.0) == [2, 1]
+        assert not node.body_dropped(2)
+        node.flush(40.0, results)
+        assert ids(node, 50.0) == []
+
+    def test_tombstone_run_is_compacted(self, node, results):
+        for i in range(100):
+            node.store(msg(i), 0.0, results)
+        for i in range(90):
+            node.drop(i, 1.0, results)
+        # 90 tombstones against 10 live entries: the next scan compacts.
+        assert len(node._relay_ids) == 100
+        assert ids(node) == list(range(90, 100))
+        assert list(node._relay_ids) == list(range(90, 100))
+
+    def test_store_drop_churn_keeps_the_index_bounded(self, node, results):
+        for i in range(3):
+            node.store(msg(i), 0.0, results)
+        for i in range(3, 500):
+            node.store(msg(i), 0.0, results)
+            node.drop(i, 0.0, results)
+            assert len(node._relay_ids) <= 2 * 3 + 1
+        assert ids(node) == [0, 1, 2]
+
+    def test_expired_entries_become_tombstones(self, node, results):
+        node.store(expiring(1, 100.0), 0.0, results)
+        node.store(expiring(2, 900.0), 0.0, results)
+        assert ids(node, 200.0) == [2]
+        assert node.has_copy(1)
+        node.drop(1, 300.0, results)
+        node.store(expiring(1, 1000.0), 300.0, results)
+        assert ids(node, 400.0) == [2, 1]
+
+    def test_slotted(self, node):
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.ad_hoc = 1
 
 
 #: One step of a giver/taker history: (operation, message id, amount).
@@ -268,12 +356,10 @@ class TestRelayCandidatesProperty:
             expected = [
                 copy
                 for msg_id, copy in relayable.items()
-                if now < copy.message.expires_at and msg_id not in taker_seen
+                if now < copy.expires_at and msg_id not in taker_seen
             ]
             got = giver.relay_candidates(now, taker.seen)
-            assert [c.message.msg_id for c in got] == [
-                c.message.msg_id for c in expected
-            ]
+            assert [c.msg_id for c in got] == [c.msg_id for c in expected]
             assert all(a is b for a, b in zip(got, expected))
             assert {
                 i for i in range(len(taker.seen)) if taker.has_seen(i)
@@ -283,12 +369,9 @@ class TestRelayCandidatesProperty:
             if op == "store":
                 if giver.has_copy(msg_id):
                     continue
-                copy = BufferedCopy(
-                    message=Message(
-                        msg_id=msg_id, source=0, destination=9,
-                        created_at=now, ttl=float(amount),
-                    ),
-                    received_at=now,
+                copy = Message(
+                    msg_id=msg_id, source=0, destination=9,
+                    created_at=now, ttl=float(amount),
                 )
                 giver.store(copy, now, results)
                 relayable[msg_id] = copy
