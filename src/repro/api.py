@@ -8,6 +8,13 @@ keyword-driven surface that accepts names where the paper setting has
 one (trace names, catalog protocol names, adversary kinds) and objects
 where callers built their own.
 
+``sweep`` runs through :func:`repro.experiments.parallel.execute_request`,
+the one path every catalog :class:`~repro.experiments.RunRequest` takes;
+``run`` expands adversaries, churn and energy budgets with the same
+:func:`~repro.experiments.parallel.expand_population`, and builds its
+own :class:`Simulation` only because it also takes caller-built objects
+(a trace, a protocol instance, a blacklist) that a request cannot describe.
+
 The wrapped entry points are **not** deprecated in the breaking sense:
 ``Simulation``, ``run_simulation``, ``run_point`` and friends remain
 public, supported, and are what the facade itself calls.  They are
@@ -47,11 +54,14 @@ if TYPE_CHECKING:
     from .crypto.provider import CryptoProvider
 
 from .adversaries.base import Strategy
-from .adversaries.factory import mixed_population, strategy_population
 from .core.blacklist import BlacklistService
 from .experiments.cache import RunCache
 from .experiments.catalog import protocol as catalog_protocol
-from .experiments.parallel import ExecutionOptions, RunReport
+from .experiments.parallel import (
+    ExecutionOptions,
+    RunReport,
+    expand_population,
+)
 from .experiments.runner import PointResult, run_series
 from .experiments.setting import (
     ReplicationPlan,
@@ -63,7 +73,7 @@ from .sim.config import SimulationConfig, config_for
 from .sim.engine import Simulation
 from .sim.results import SimulationResults
 from .telemetry.export import TelemetryCollector
-from .traces.stream import ContactSource
+from .traces.stream import ContactSource, ensure_contact_source
 from .traces.trace import ContactTrace, NodeId
 
 #: What ``run``/``sweep`` accept as a telemetry sink: a directory path
@@ -154,13 +164,8 @@ def run(
             community = evaluation_community(trace)
     else:
         trace_obj = trace
-    # Node universe for population/scenario expansion: a streaming
-    # source declares it (possibly as a range); a trace enumerates it.
-    universe = (
-        trace_obj.universe
-        if isinstance(trace_obj, ContactSource)
-        else trace_obj.nodes
-    )
+    # A streaming source declares its universe (possibly as a range).
+    universe = ensure_contact_source(trace_obj, "api.run").universe
 
     if isinstance(protocol, str):
         family, factory = catalog_protocol(protocol)
@@ -193,45 +198,27 @@ def run(
         else:
             run_config = SimulationConfig(**overrides)  # type: ignore[arg-type]
 
-    if mix is not None:
-        if strategies is not None or adversary is not None:
-            raise ValueError(
-                "pass exactly one of mix, adversary/adversary_count,"
-                " or strategies"
-            )
-        strategies, _ = mixed_population(
-            universe,
-            dict(mix),
-            seed=run_config.seed,
-            community=community,
+    if mix is not None and (strategies is not None or adversary is not None):
+        raise ValueError(
+            "pass exactly one of mix, adversary/adversary_count,"
+            " or strategies"
         )
-    elif adversary is not None and adversary_count > 0:
-        if strategies is not None:
-            raise ValueError(
-                "pass either adversary/adversary_count or strategies, not both"
-            )
-        strategies, _ = strategy_population(
-            universe,
-            adversary,
-            adversary_count,
-            seed=run_config.seed,
-            community=community,
+    if strategies is not None and adversary is not None and adversary_count > 0:
+        raise ValueError(
+            "pass either adversary/adversary_count or strategies, not both"
         )
-
-    churn_schedule = None
-    if churn:
-        from .scenarios.spec import churn_events_for
-
-        churn_schedule = churn_events_for(
-            universe, list(churn), seed=run_config.seed
-        )
-    budgets = None
-    if energy_budgets:
-        from .scenarios.spec import energy_budgets_for
-
-        budgets = energy_budgets_for(
-            universe, tuple(energy_budgets), seed=run_config.seed
-        )
+    population = expand_population(
+        universe,
+        run_config.seed,
+        community,
+        deviation=adversary,
+        deviation_count=adversary_count,
+        mix=mix,
+        churn=churn,
+        energy_budget=energy_budgets,
+    )
+    if strategies is None:
+        strategies = population.strategies
 
     results = Simulation(
         trace_obj,
@@ -240,8 +227,8 @@ def run(
         strategies=strategies,
         community=community,
         blacklist=blacklist,
-        churn=churn_schedule,
-        energy_budgets=budgets,
+        churn=population.churn,
+        energy_budgets=population.energy_budgets,
     ).run()
 
     collector, export_path = _resolve_telemetry(telemetry, "runs.jsonl")

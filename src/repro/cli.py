@@ -44,7 +44,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .adversaries import strategy_population
 from .experiments import LABELS, PROTOCOLS
 from .social import CommunityMap
 from .traces import TraceProfile, save_trace, trace_by_name
@@ -358,28 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     from . import api
     from .experiments import evaluation_community, evaluation_trace
+    from .experiments.parallel import expand_population
     from .telemetry.export import record_line, run_record
 
-    strategies = None
     misbehaving = ()
-    if args.adversary and args.count > 0:
-        trace = evaluation_trace(args.trace)
-        community = evaluation_community(args.trace)
-        strategies, misbehaving = strategy_population(
-            trace.nodes, args.adversary, args.count,
-            seed=args.seed, community=community,
-        )
-        if not args.json:
-            print(
-                f"planted {args.count} x {args.adversary}: "
-                f"nodes {list(misbehaving)}"
-            )
     try:
+        if args.adversary and args.count > 0:
+            misbehaving = expand_population(
+                evaluation_trace(args.trace).nodes,
+                args.seed,
+                evaluation_community(args.trace),
+                deviation=args.adversary,
+                deviation_count=args.count,
+            ).roles[args.adversary]
+            if not args.json:
+                print(
+                    f"planted {args.count} x {args.adversary}: "
+                    f"nodes {list(misbehaving)}"
+                )
         results = api.run(
             args.trace,
             args.protocol,
             seed=args.seed,
-            strategies=strategies,
+            adversary=args.adversary or None,
+            adversary_count=args.count,
             telemetry=args.telemetry_dir,
             provider=args.provider,
         )

@@ -20,17 +20,35 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from ..adversaries.base import Strategy
 from ..adversaries.factory import mixed_population, strategy_population
 from ..sim.config import SimulationConfig, config_for
-from ..sim.engine import Simulation
+from ..sim.engine import ChurnEvent, Simulation
 from ..sim.results import SimulationResults
 from ..telemetry.export import TelemetryCollector
+from ..traces.stream import ContactSource, source_from_spec
+from ..traces.trace import ContactTrace, NodeId
 from .cache import RunCache, run_key
 from .catalog import protocol
 from .setting import evaluation_community, evaluation_trace
+
+if TYPE_CHECKING:
+    from ..protocols.base import CommunityOracle
 
 
 @dataclass(frozen=True)
@@ -52,11 +70,9 @@ class RunRequest:
             kept as a tuple so requests stay hashable and picklable.
         mix: adversary-mix fractions as sorted ``(kind, fraction)``
             pairs (scenario runs); mutually exclusive with
-            ``deviation``.  The worker expands it into a mixed
-            population with :func:`repro.adversaries.mixed_population`.
+            ``deviation``.
         churn: churn cohorts as ``(fraction, leave_time, rejoin_time)``
-            tuples (``rejoin_time`` None for permanent departures);
-            expanded into node-level join/leave timers by the worker.
+            tuples (``rejoin_time`` None for permanent departures).
         energy_budget: energy-budget spec, ``()`` for unbounded,
             ``("constant", joules)`` or ``("uniform", lo, hi)``.
         source: streaming-source spec as sorted ``(field, value)``
@@ -66,9 +82,13 @@ class RunRequest:
             loading an evaluation trace, and ``trace_name`` is a
             display label only.  Source runs carry their full config
             in ``overrides`` (there is no preset TTL table for
-            synthetic universes) and do not support adversary
-            placement (``deviation``/``mix``), which would need an
-            enumerated node list.
+            synthetic universes) and have no community oracle.
+
+    The worker expands deviation, mix, churn and energy budget over
+    the run's node universe with :func:`expand_population` — the
+    evaluation trace's nodes, or the stream's node range for source
+    runs — so a source request plants adversaries exactly as
+    :func:`repro.api.run` does on the same source.
     """
 
     trace_name: str
@@ -126,43 +146,95 @@ class RunRequest:
             source=self.source or None,
         )
 
-    def roles(self) -> Dict[str, Tuple[int, ...]]:
-        """Adversary class -> member nodes, recomputed deterministically.
+    def inputs(self) -> Tuple[Union[ContactTrace, ContactSource], Sequence[NodeId], Any]:
+        """The run's contacts, node universe and community oracle.
 
-        Mix requests replay the placement shuffle of
-        :func:`repro.adversaries.mixed_population`; single-deviation
-        requests report their ``misbehaving()`` set under the deviation
-        kind.  All-honest runs return an empty map.
+        A source request rebuilds its stream (a node-range universe, no
+        communities); a trace request uses the cached evaluation trace.
         """
-        if self.mix:
-            trace = evaluation_trace(self.trace_name)
-            _, roles = mixed_population(
-                trace.nodes, dict(self.mix), seed=self.seed
-            )
-            return roles
-        if self.deviation is not None and self.deviation_count > 0:
-            return {self.deviation: self.misbehaving()}
-        return {}
-
-    def misbehaving(self) -> Tuple[int, ...]:
-        """The deterministic set of deviating nodes for this run."""
-        if self.mix:
-            members: List[int] = []
-            for nodes in self.roles().values():
-                members.extend(nodes)
-            return tuple(sorted(members))
-        if self.deviation is None or self.deviation_count <= 0:
-            return ()
+        if self.source:
+            source = source_from_spec(self.source)
+            return source, source.universe, None
         trace = evaluation_trace(self.trace_name)
-        community = evaluation_community(self.trace_name)
-        _, misbehaving = strategy_population(
-            trace.nodes,
-            self.deviation,
-            self.deviation_count,
-            seed=self.seed,
+        return trace, trace.nodes, evaluation_community(self.trace_name)
+
+    def roles(self) -> Dict[str, Tuple[NodeId, ...]]:
+        """Adversary kind -> member nodes, replayed without churn or budgets."""
+        _, universe, community = self.inputs()
+        return expand_population(
+            universe,
+            self.seed,
+            community,
+            deviation=self.deviation,
+            deviation_count=self.deviation_count,
+            mix=self.mix,
+        ).roles
+
+    def misbehaving(self) -> Tuple[NodeId, ...]:
+        """The deterministic, sorted set of deviating nodes for this run."""
+        return tuple(
+            sorted(node for nodes in self.roles().values() for node in nodes)
+        )
+
+
+class Population(NamedTuple):
+    """A run's expanded nodes; None (or no roles) where nothing expands."""
+
+    strategies: Optional[Dict[NodeId, Strategy]]
+    roles: Dict[str, Tuple[NodeId, ...]]
+    churn: Optional[List[ChurnEvent]]
+    energy_budgets: Optional[Dict[NodeId, float]]
+
+
+def expand_population(
+    universe: Sequence[NodeId],
+    seed: int,
+    community: Optional["CommunityOracle"] = None,
+    *,
+    deviation: Optional[str] = None,
+    deviation_count: int = 0,
+    mix: Union[None, Mapping[str, float], Sequence[Tuple[str, float]]] = None,
+    churn: Optional[Sequence[Tuple[float, float, Optional[float]]]] = None,
+    energy_budget: Optional[Sequence[Any]] = None,
+) -> Population:
+    """Expand a run's adversaries, churn and energy budgets over its nodes.
+
+    The one place a run description becomes per-node state, shared by
+    :func:`execute_request`, :func:`repro.api.run` and the placement
+    replay of :meth:`RunRequest.roles`.  The arguments mean what the
+    :class:`RunRequest` fields of the same names mean; ``mix`` wins
+    over ``deviation`` (callers reject requests carrying both).
+    """
+    strategies = None
+    roles: Dict[str, Tuple[NodeId, ...]] = {}
+    if mix:
+        strategies, roles = mixed_population(
+            universe, dict(mix), seed=seed, community=community
+        )
+    elif deviation is not None and deviation_count > 0:
+        strategies, misbehaving = strategy_population(
+            universe,
+            deviation,
+            deviation_count,
+            seed=seed,
             community=community,
         )
-        return misbehaving
+        roles = {deviation: misbehaving}
+    schedule = None
+    budgets = None
+    if churn or energy_budget:
+        # Lazy import: repro.scenarios imports this module for
+        # RunRequest/run_requests, so the expansion helpers load only
+        # when a run actually has churn or budgets.
+        from ..scenarios.spec import churn_events_for, energy_budgets_for
+
+        if churn:
+            schedule = churn_events_for(universe, churn, seed=seed)
+        if energy_budget:
+            budgets = energy_budgets_for(
+                universe, tuple(energy_budget), seed=seed
+            )
+    return Population(strategies, roles, schedule, budgets)
 
 
 def execute_request(
@@ -194,79 +266,25 @@ def execute_request(
             "a RunRequest carries either a single deviation or a mix,"
             " not both"
         )
-    if request.source:
-        if request.mix or request.deviation is not None:
-            raise ValueError(
-                "source requests do not support adversary placement"
-                " (deviation/mix) — it needs an enumerated node list"
-            )
-        from ..traces.stream import source_from_spec
-
-        source = source_from_spec(request.source)
-        config = request.config()
-        churn = None
-        energy_budgets = None
-        if request.churn or request.energy_budget:
-            from ..scenarios.spec import churn_events_for, energy_budgets_for
-
-            if request.churn:
-                churn = churn_events_for(
-                    source.universe, request.churn, seed=request.seed
-                )
-            if request.energy_budget:
-                energy_budgets = energy_budgets_for(
-                    source.universe, request.energy_budget, seed=request.seed
-                )
-        return Simulation(
-            source,
-            factory(),
-            config,
-            churn=churn,
-            energy_budgets=energy_budgets,
-        ).run()
-    trace = evaluation_trace(request.trace_name)
-    community = evaluation_community(request.trace_name)
-    config = request.config()
-    strategies = None
-    if request.mix:
-        strategies, _ = mixed_population(
-            trace.nodes,
-            dict(request.mix),
-            seed=request.seed,
-            community=community,
-        )
-    elif request.deviation is not None and request.deviation_count > 0:
-        strategies, _ = strategy_population(
-            trace.nodes,
-            request.deviation,
-            request.deviation_count,
-            seed=request.seed,
-            community=community,
-        )
-    churn = None
-    energy_budgets = None
-    if request.churn or request.energy_budget:
-        # Lazy import: repro.scenarios imports this module for
-        # RunRequest/run_requests, so the expansion helpers must load
-        # only when a scenario request actually executes.
-        from ..scenarios.spec import churn_events_for, energy_budgets_for
-
-        if request.churn:
-            churn = churn_events_for(
-                trace.nodes, request.churn, seed=request.seed
-            )
-        if request.energy_budget:
-            energy_budgets = energy_budgets_for(
-                trace.nodes, request.energy_budget, seed=request.seed
-            )
+    contacts, universe, community = request.inputs()
+    population = expand_population(
+        universe,
+        request.seed,
+        community,
+        deviation=request.deviation,
+        deviation_count=request.deviation_count,
+        mix=request.mix,
+        churn=request.churn,
+        energy_budget=request.energy_budget,
+    )
     return Simulation(
-        trace,
+        contacts,
         factory(),
-        config,
-        strategies=strategies,
+        request.config(),
+        strategies=population.strategies,
         community=community,
-        churn=churn,
-        energy_budgets=energy_budgets,
+        churn=population.churn,
+        energy_budgets=population.energy_budgets,
     ).run()
 
 
@@ -389,18 +407,11 @@ def run_requests(
         else:
             # Warm the trace/community caches in the parent first:
             # fork-started workers then inherit the built artifacts
-            # instead of each re-running community detection.  Source
-            # requests are skipped — their trace_name is a display
-            # label, not an evaluation-trace key.
-            for trace_name in sorted(
-                {
-                    requests[i].trace_name
-                    for i in pending
-                    if not requests[i].source
-                }
-            ):
-                evaluation_trace(trace_name)
-                evaluation_community(trace_name)
+            # instead of each re-running community detection.  A source
+            # request's stream is rebuilt in its worker.
+            for i in pending:
+                if not requests[i].source:
+                    requests[i].inputs()
             workers = min(options.workers, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {

@@ -27,18 +27,14 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from ..adversaries.factory import strategy_population
-from ..sim.engine import Simulation
 from ..sim.results import SimulationResults
 from ..sim.serialize import load_results, save_results
-from ..sim.config import config_for
 from .catalog import protocol
-from .parallel import ExecutionOptions, RunRequest, run_requests
-from .setting import evaluation_community, evaluation_trace
+from .parallel import ExecutionOptions, RunRequest, execute_request, run_requests
 
 PathLike = Union[str, Path]
 
@@ -75,12 +71,11 @@ class RunSpec:
         return "_".join(str(p) for p in parts)
 
     def request(self) -> RunRequest:
-        """The :class:`RunRequest` equivalent of this grid point.
+        """The :class:`RunRequest` this grid point executes as.
 
-        Executing the request reproduces :meth:`SweepRunner.run_one`
-        bit-for-bit — same trace/community caches, same
-        ``config_for`` call, same adversary placement — which is what
-        lets a sweep batch out over the process pool.
+        :meth:`SweepRunner.run_one` executes it in-process and the
+        pooled :meth:`SweepRunner.run_all` batches it through
+        :func:`run_requests`, so both archive bit-identical results.
         """
         family, _ = protocol(self.protocol)
         return RunRequest(
@@ -125,23 +120,13 @@ class SweepRunner:
             if self.on_result:
                 self.on_result(spec, results, True)
             return results
-        family, factory = protocol(spec.protocol)
-        trace = evaluation_trace(spec.trace)
-        community = evaluation_community(spec.trace)
-        config = config_for(
-            spec.trace, family, seed=spec.seed, **dict(spec.overrides)
-        )
-        strategies = None
-        if spec.deviation and spec.count:
-            strategies, _ = strategy_population(
-                trace.nodes, spec.deviation, spec.count,
-                seed=spec.seed, community=community,
-            )
-        results = Simulation(
-            trace, factory(), config,
-            strategies=strategies, community=community,
-        ).run()
-        save_results(results, path)
+        return self._archive(spec, execute_request(spec.request()))
+
+    def _archive(
+        self, spec: RunSpec, results: SimulationResults
+    ) -> SimulationResults:
+        """Archive one freshly executed run and report it."""
+        save_results(results, self.path_for(spec))
         if self.on_result:
             self.on_result(spec, results, False)
         return results
@@ -162,28 +147,14 @@ class SweepRunner:
         workers = options.workers if options is not None else 1
         if workers <= 1:
             return {spec: self.run_one(spec, force=force) for spec in specs}
-        pending = [
-            spec for spec in specs if force or not self.is_done(spec)
-        ]
+        pending = [spec for spec in specs if force or not self.is_done(spec)]
         fresh = dict(
-            zip(
-                (spec.spec_id for spec in pending),
-                run_requests(
-                    [spec.request() for spec in pending], options
-                ),
-            )
+            zip(pending, run_requests([spec.request() for spec in pending], options))
         )
-        out: Dict[RunSpec, SimulationResults] = {}
-        for spec in specs:
-            if spec.spec_id in fresh:
-                results = fresh[spec.spec_id]
-                save_results(results, self.path_for(spec))
-                if self.on_result:
-                    self.on_result(spec, results, False)
-                out[spec] = results
-            else:
-                out[spec] = self.run_one(spec)
-        return out
+        return {
+            spec: self._archive(spec, fresh[spec]) if spec in fresh else self.run_one(spec)
+            for spec in specs
+        }
 
     def collect(self) -> Dict[str, SimulationResults]:
         """Load every archived run of this sweep, keyed by spec id."""

@@ -27,7 +27,6 @@ This module pulls in the whole experiment stack — import it lazily
 from __future__ import annotations
 
 import cProfile
-import hashlib
 import json
 import platform
 import random
@@ -47,7 +46,7 @@ from ..sim.engine import run_simulation
 from ..sim.messages import Message
 from ..sim.node import NodeState
 from ..sim.results import SimulationResults
-from ..sim.serialize import results_to_dict
+from ..sim.serialize import results_digest
 from .counters import COUNTERS
 
 #: The single-run benchmark spec.
@@ -117,18 +116,6 @@ def run_single(
     )
     elapsed = time.perf_counter() - start
     return elapsed, results, COUNTERS.diff(before)
-
-
-def results_digest(results: SimulationResults) -> str:
-    """The determinism digest: sha256 of the canonical results JSON.
-
-    Same formula as the golden/determinism test suites — the digest
-    is what "bit-identical across tiers and builds" means.
-    """
-    payload = json.dumps(
-        results_to_dict(results), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def hotpath_benchmark(

@@ -54,13 +54,13 @@ def run_scale_point(
 
     The run is an honest epidemic workload: a fixed message budget
     (``messages`` total, independent of scale, so traffic cost stays
-    a constant term) over a power-law community stream.
+    a constant term) over a power-law community stream, executed as a
+    source :class:`~repro.experiments.RunRequest` through the catalog's
+    one run path.
     """
-    from ..experiments.catalog import protocol
+    from ..experiments.parallel import RunRequest, execute_request
     from ..perf.counters import COUNTERS
     from ..perf.memory import peak_rss_bytes
-    from ..sim.config import SimulationConfig
-    from ..sim.engine import Simulation
     from ..traces.stream import StreamModelConfig, SyntheticStreamSource
 
     source = SyntheticStreamSource(
@@ -72,18 +72,23 @@ def run_scale_point(
         )
     )
     silent_tail = duration / 4.0
-    config = SimulationConfig(
-        run_length=duration,
-        silent_tail=silent_tail,
-        mean_interarrival=(duration - silent_tail) / max(1, messages),
-        ttl=duration / 2.0,
+    request = RunRequest(
+        trace_name=source.name,
+        family="epidemic",
+        protocol_name="epidemic",
         seed=seed,
-        track_memory=False,
+        overrides=(
+            ("mean_interarrival", (duration - silent_tail) / max(1, messages)),
+            ("run_length", duration),
+            ("silent_tail", silent_tail),
+            ("track_memory", False),
+            ("ttl", duration / 2.0),
+        ),
+        source=source.spec(),
     )
-    _, factory = protocol("epidemic")
     ops_before = COUNTERS.snapshot()
     started = time.perf_counter()
-    results = Simulation(source, factory(), config).run()
+    results = execute_request(request)
     wall = time.perf_counter() - started
     ops = COUNTERS.diff(ops_before)
     return {

@@ -8,6 +8,7 @@ per-detection records.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Union
@@ -72,6 +73,18 @@ def results_to_dict(results: SimulationResults) -> dict:
             str(k): v for k, v in results.deviation_counts.items()
         },
     }
+
+
+def results_digest(results: SimulationResults) -> str:
+    """The determinism digest: sha256 of the canonical results JSON.
+
+    Two runs are bit-identical exactly when their digests are equal;
+    the golden, determinism and tier-parity suites compare runs by it.
+    """
+    payload = json.dumps(
+        results_to_dict(results), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def results_from_dict(data: dict) -> SimulationResults:

@@ -10,20 +10,11 @@ fails, some code path started drawing from outside the injected
 per-run RNGs.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from repro.experiments.parallel import RunRequest, execute_request
-from repro.sim.serialize import results_to_dict
-
-
-def results_digest(results) -> str:
-    payload = json.dumps(
-        results_to_dict(results), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+# Re-exported: the other digest suites import it from this module.
+from repro.sim.serialize import results_digest
 
 
 #: Shortened cambridge06 setting so the double-runs stay quick while

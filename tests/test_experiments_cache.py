@@ -26,11 +26,10 @@ from repro.experiments import (
     run_point,
     PROTOCOLS,
 )
-from repro.perf.bench import results_digest
 from repro.sim.config import EnergyModel, SimulationConfig, config_for
 from repro.sim.engine import Simulation
 from repro.sim.results import SimulationResults
-from repro.sim.serialize import results_to_dict
+from repro.sim.serialize import results_digest, results_to_dict
 
 BASE_KEY_ARGS = dict(
     trace_name="infocom05",

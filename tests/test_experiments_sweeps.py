@@ -1,8 +1,30 @@
-"""Tests for the resumable sweep runner."""
+"""Tests for the resumable sweep runner.
+
+Set ``REPRO_TEST_WORKERS`` to choose the pool size of the pooled-sweep
+test (default 2).
+"""
+
+import os
 
 import pytest
 
+from repro.experiments.parallel import ExecutionOptions
 from repro.experiments.sweeps import RunSpec, SweepRunner, dropper_grid
+from repro.sim.serialize import results_digest
+
+_env_workers = os.environ.get("REPRO_TEST_WORKERS")
+POOL_WORKERS = int(_env_workers) if _env_workers else 2
+
+#: Short G2G runs: a quarter of the evaluation window, sparse traffic
+#: and cheap storage challenges, with TTLs that expire in-run so the
+#: droppers get tested.
+TINY = (
+    ("heavy_hmac_iterations", 4),
+    ("mean_interarrival", 60.0),
+    ("run_length", 1800.0),
+    ("silent_tail", 600.0),
+    ("ttl", 600.0),
+)
 
 
 class TestRunSpec:
@@ -93,6 +115,46 @@ class TestSweepRunner:
         out = runner.run_all(specs)
         assert len(out) == 2
         assert all(runner.is_done(s) for s in specs)
+
+
+class TestPooledSweep:
+    def test_pooled_archive_matches_sequential(self, tmp_path):
+        specs = [
+            RunSpec(
+                trace="infocom05", protocol="g2g_epidemic", seed=seed,
+                deviation="dropper", count=count, overrides=TINY,
+            )
+            for seed, count in ((1, 5), (2, 5), (3, 0))
+        ]
+        sequential = SweepRunner(archive_dir=tmp_path, sweep="sequential")
+        sequential.run_all(specs)
+
+        events = []
+        pooled = SweepRunner(
+            archive_dir=tmp_path, sweep="pooled",
+            on_result=lambda spec, results, cached: events.append(
+                (spec.spec_id, cached)
+            ),
+        )
+        pooled.run_one(specs[0])
+        events.clear()
+        out = pooled.run_all(
+            specs, options=ExecutionOptions(workers=POOL_WORKERS)
+        )
+
+        assert list(out) == specs
+        assert events == [(specs[0].spec_id, True)] + [
+            (spec.spec_id, False) for spec in specs[1:]
+        ]
+
+        def digests(runner):
+            return {
+                spec_id: results_digest(results)
+                for spec_id, results in runner.collect().items()
+            }
+
+        assert digests(pooled) == digests(sequential)
+        assert len(digests(pooled)) == len(specs)
 
 
 class TestCsvExport:

@@ -15,8 +15,8 @@ import pytest
 from repro.core.g2g_delegation import G2GDelegationForwarding
 from repro.core.g2g_epidemic import G2GEpidemicForwarding
 from repro.perf import COUNTERS, OpCounters
-from repro.perf.bench import results_digest
 from repro.sim import Simulation
+from repro.sim.serialize import results_digest
 
 
 #: Exact op counts of the budget run (mini_synthetic x quick_config,

@@ -9,8 +9,7 @@ across worker counts and repeated executions (the streaming generator
 draws only from per-chunk seeded RNGs).
 """
 
-import hashlib
-import json
+import dataclasses
 import os
 
 import pytest
@@ -24,7 +23,7 @@ from repro.experiments import (
 from repro.experiments.parallel import execute_request
 from repro.experiments.setting import evaluation_community, evaluation_trace
 from repro.sim.engine import Simulation
-from repro.sim.serialize import results_to_dict
+from repro.sim.serialize import results_digest as digest
 from repro.traces import InMemorySource, StreamModelConfig, SyntheticStreamSource
 
 _env_workers = os.environ.get("REPRO_TEST_WORKERS")
@@ -50,13 +49,6 @@ STREAM_OVERRIDES = (
 STREAM_SPEC = SyntheticStreamSource(
     StreamModelConfig(nodes=300, duration=1_200.0, seed=3, chunk_seconds=300.0)
 ).spec()
-
-
-def digest(results) -> str:
-    payload = json.dumps(
-        results_to_dict(results), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestInMemorySourceIsTheIdentityPath:
@@ -110,13 +102,58 @@ class TestSourceRequestDeterminism:
             digest(r) for r in pooled
         ]
 
-    def test_source_requests_reject_adversaries(self):
-        import dataclasses
 
-        bad = dataclasses.replace(
-            self._request(1), deviation="dropper", deviation_count=5
+class TestSourceRequestAdversaries:
+    """Source requests plant adversaries exactly as ``api.run`` does."""
+
+    OVERRIDES = STREAM_OVERRIDES + (("heavy_hmac_iterations", 4),)
+
+    def _request(self, seed: int) -> RunRequest:
+        return RunRequest(
+            trace_name="stream-300n-s3",
+            family="epidemic",
+            protocol_name="g2g_epidemic",
+            seed=seed,
+            deviation="dropper",
+            deviation_count=30,
+            overrides=self.OVERRIDES,
+            source=STREAM_SPEC,
         )
-        with pytest.raises(ValueError, match="adversary placement"):
+
+    def test_matches_api_run_on_the_same_source(self):
+        from repro import api
+        from repro.traces.stream import source_from_spec
+
+        request = self._request(1)
+        direct = api.run(
+            source_from_spec(STREAM_SPEC),
+            "g2g_epidemic",
+            dict(self.OVERRIDES),
+            seed=1,
+            adversary="dropper",
+            adversary_count=30,
+        )
+        planted = digest(execute_request(request))
+        assert planted == digest(direct)
+        honest = dataclasses.replace(request, deviation=None, deviation_count=0)
+        assert planted != digest(execute_request(honest))
+        misbehaving = request.misbehaving()
+        assert len(misbehaving) == 30
+        assert all(0 <= node < 300 for node in misbehaving)
+
+    def test_workers_pool_matches_sequential(self):
+        requests = [self._request(seed) for seed in (1, 2)]
+        sequential = run_requests(requests)
+        pooled = run_requests(
+            requests, ExecutionOptions(workers=POOL_WORKERS)
+        )
+        assert [digest(r) for r in sequential] == [
+            digest(r) for r in pooled
+        ]
+
+    def test_deviation_and_mix_together_still_rejected(self):
+        bad = dataclasses.replace(self._request(1), mix=(("liar", 0.1),))
+        with pytest.raises(ValueError, match="not both"):
             execute_request(bad)
 
 
