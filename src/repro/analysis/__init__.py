@@ -9,9 +9,8 @@ This package enforces them statically with a small AST lint framework
 whole-program model with five cross-module flow rules
 (:mod:`repro.analysis.project` / :mod:`repro.analysis.flow_rules`,
 ids ``G2G008``–``G2G012``, behind ``repro lint --project``), and a
-runner (:mod:`repro.analysis.runner`) with an incremental content-hash
-cache, multiprocess fan-out, baseline files, and text/JSON/SARIF
-output — all behind the ``repro lint`` CLI command.
+runner (:mod:`repro.analysis.runner`) with text/JSON/SARIF output —
+all behind the ``repro lint`` CLI command.
 
 Rules are suppressed per line with pragma comments::
 
@@ -36,7 +35,7 @@ from .project import (
     module_facts,
     register_project_rule,
 )
-from .runner import LintRun, lint_paths, lint_source, lint_tree, render_report
+from .runner import lint_source, lint_tree, render_report
 
 # Importing the rule modules populates the registries.
 from . import rules as _rules  # noqa: F401  (import for side effect)
@@ -44,7 +43,6 @@ from . import flow_rules as _flow_rules  # noqa: F401  (same)
 
 __all__ = [
     "LintModule",
-    "LintRun",
     "ProjectModel",
     "ProjectRule",
     "PROJECT_RULE_REGISTRY",
@@ -52,7 +50,6 @@ __all__ = [
     "RULE_REGISTRY",
     "Violation",
     "check_project",
-    "lint_paths",
     "lint_source",
     "lint_tree",
     "module_facts",

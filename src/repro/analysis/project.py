@@ -11,10 +11,7 @@ violates layering.  This module gives them a shared
   into a plain-dict summary — resolved imports (relative imports
   included, unlike the single-file ``imported_origins`` helper),
   per-function call and nondeterminism-sink lists, class field/method
-  tables, ``COUNTERS`` increments, event-time expression sites.  Facts
-  are JSON-serializable by construction, so the incremental lint cache
-  (:mod:`repro.analysis.cache`) can persist them and a warm run never
-  re-parses an unchanged file.
+  tables, ``COUNTERS`` increments, event-time expression sites.
 * **Project indexes.** :class:`ProjectModel` wires the facts together:
   module lookup by dotted name, a conservative intra-project call
   graph (resolved imports + same-module calls + ``self.`` methods;

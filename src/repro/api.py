@@ -147,7 +147,7 @@ def run(
             ``<dir>/runs.jsonl``) or a :class:`TelemetryCollector`.
         provider: crypto provider tier for Give2Get protocols — a
             tier name from :data:`repro.crypto.TIER_NAMES` ("real" /
-            "simulated" / "accounting") or a ready
+            "simulated") or a ready
             :class:`~repro.crypto.CryptoProvider` instance.  None
             keeps the protocol's own default (simulated).  Raises
             :class:`ValueError` for protocols that take no provider

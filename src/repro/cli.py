@@ -13,8 +13,6 @@ Commands:
 * ``scenarios`` — run a campaign of mixed-adversary / churn / energy
   scenarios and emit the campaign matrix (see docs/scenarios.md).
 * ``telemetry`` — summarize or validate exported telemetry JSONL.
-* ``perf`` — time the relay-loop hot-path benchmark and write
-  ``BENCH_hotpath.json``.
 * ``scale-bench`` — sweep synthetic streaming sources across node
   scales and write the nodes-vs-wall / nodes-vs-RSS curves to
   ``BENCH_scale.json``.
@@ -42,8 +40,10 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from .adversaries.factory import DEVIATIONS
+from .crypto import TIER_NAMES
 from .experiments import LABELS, PROTOCOLS
 from .social import CommunityMap
 from .traces import TraceProfile, save_trace, trace_by_name
@@ -90,18 +90,14 @@ def _workers_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _provider_parent() -> argparse.ArgumentParser:
-    """Shared ``--provider`` flag (simulate and perf)."""
-    from .crypto import TIER_NAMES
-
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--provider", choices=TIER_NAMES, default=None,
-        help="crypto provider tier for Give2Get protocols: real "
-        "(from-scratch RSA, slow), simulated (default), or accounting "
-        "(zero hashing, identical results; see docs/simulator.md)",
+def _adversary_kinds() -> Tuple[str, ...]:
+    """Every ``--adversary`` value: each deviation kind and its
+    ``_with_outsiders`` form."""
+    return tuple(
+        kind + suffix
+        for kind in DEVIATIONS
+        for suffix in ("", "_with_outsiders")
     )
-    return parent
 
 
 def _telemetry_parent() -> argparse.ArgumentParser:
@@ -127,14 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run one simulation",
         parents=[
             _trace_parent(), _protocol_parent(), _seed_parent(1),
-            _telemetry_parent(), _provider_parent(),
+            _telemetry_parent(),
         ],
     )
     simulate.add_argument(
-        "--adversary",
-        default=None,
-        help="deviation kind (dropper/liar/cheater, optionally "
-        "+ _with_outsiders)",
+        "--provider", choices=TIER_NAMES, default=None,
+        help="crypto provider tier for Give2Get protocols: real "
+        "(from-scratch RSA, slow) or simulated (default; see "
+        "docs/simulator.md)",
+    )
+    simulate.add_argument(
+        "--adversary", choices=_adversary_kinds(), default=None,
+        metavar="KIND", help="deviation kind, one of: %(choices)s",
     )
     simulate.add_argument("--count", type=int, default=0,
                           help="number of deviating nodes")
@@ -180,7 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
             _telemetry_parent(),
         ],
     )
-    sweep.add_argument("--adversary", default="dropper")
+    sweep.add_argument(
+        "--adversary", choices=_adversary_kinds(), default="dropper",
+        metavar="KIND",
+        help="deviation kind (default: dropper), one of: %(choices)s",
+    )
     sweep.add_argument(
         "--counts", default="0,10,20,30",
         help="comma-separated adversary counts",
@@ -204,23 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="(summarize) print the merged snapshot as JSON instead "
         "of Prometheus-style text",
-    )
-
-    perf = sub.add_parser(
-        "perf", help="run the hot-path benchmark and write BENCH_hotpath.json",
-        parents=[_provider_parent()],
-    )
-    perf.add_argument(
-        "--out", default="BENCH_hotpath.json",
-        help="report path (default: BENCH_hotpath.json)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=5,
-        help="timed repetitions; the report keeps the best",
-    )
-    perf.add_argument(
-        "--no-profile", action="store_true",
-        help="skip the cProfile-instrumented repetition",
     )
 
     scale = sub.add_parser(
@@ -280,27 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--output", default=None, metavar="FILE",
         help="write the report to FILE instead of stdout",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file from the current findings "
-        "(requires --baseline) and exit 0",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool width for parsing/checking (default: 1)",
-    )
-    lint.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="incremental lint cache directory (default: no cache)",
-    )
-    lint.add_argument(
-        "--stats", action="store_true",
-        help="print a 'lint stats: ...' line (files/parsed/cached)",
     )
 
     communities = sub.add_parser(
@@ -585,49 +551,6 @@ def cmd_telemetry(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    from .perf import bench
-
-    report = bench.write_report(
-        args.out, repeats=args.repeats, profile=not args.no_profile,
-        provider=args.provider,
-    )
-    optimized = report["optimized"]
-    print(
-        f"hot-path benchmark: {optimized['spec']['trace']} / g2g_epidemic / "
-        f"seed {optimized['spec']['seed']} / "
-        f"provider {optimized['spec']['provider']}"
-    )
-    print(
-        f"  wall     : best {optimized['wall_seconds_best']:.3f} s of "
-        f"{args.repeats} (baseline {report['baseline']['wall_seconds_best']:.3f} s, "
-        f"{report['speedup_wall']:.2f}x)"
-    )
-    if "speedup_profiled" in report:
-        print(
-            f"  profiled : {optimized['profiled_seconds']:.3f} s "
-            f"(baseline {report['baseline']['profiled_seconds']:.1f} s, "
-            f"{report['speedup_profiled']:.2f}x)"
-        )
-    counters = optimized["counters"]
-    print(
-        f"  counters : {counters['relay_entries']} relay entries, "
-        f"{counters['signatures']} signatures, "
-        f"{counters['encodings']} encodings "
-        f"({counters['encoding_cache_hits']} cache hits)"
-    )
-    tiers = report["tiers"]
-    for tier in ("simulated", "accounting"):
-        block = tiers[tier]
-        print(
-            f"  tier {tier:<10}: best {block['wall_seconds_best']:.3f} s, "
-            f"digest {block['results_digest'][:12]}"
-        )
-    print(f"  tiers identical results: {tiers['identical_results']}")
-    print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_scale_bench(args) -> int:
     from .perf.scalebench import (
         DEFAULT_DURATIONS,
@@ -680,7 +603,6 @@ def cmd_lint(args) -> int:
     from pathlib import Path
 
     from .analysis import PROJECT_RULE_REGISTRY, RULE_REGISTRY, lint_tree
-    from .analysis.baseline import apply_baseline, load_baseline, write_baseline
     from .analysis.output import render
 
     if args.list_rules:
@@ -695,32 +617,10 @@ def cmd_lint(args) -> int:
     select = None
     if args.select:
         select = [r.strip() for r in args.select.split(",") if r.strip()]
-    if args.update_baseline and not args.baseline:
-        raise SystemExit("error: --update-baseline requires --baseline FILE")
     try:
-        run = lint_tree(
-            args.paths,
-            select=select,
-            project=args.project,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
+        violations = lint_tree(args.paths, select=select, project=args.project)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
-    violations = run.violations
-
-    if args.update_baseline:
-        count = write_baseline(Path(args.baseline), violations)
-        print(f"baseline: recorded {count} findings in {args.baseline}")
-        if args.stats:
-            print(run.stats_line())
-        return 0
-    suppressed = 0
-    if args.baseline:
-        violations, suppressed = apply_baseline(
-            violations, load_baseline(Path(args.baseline))
-        )
-
     report = render(violations, args.fmt)
     if args.output:
         Path(args.output).write_text(
@@ -729,10 +629,6 @@ def cmd_lint(args) -> int:
         print(f"wrote {args.output}")
     else:
         print(report, end="" if report.endswith("\n") else "\n")
-    if suppressed and args.fmt == "text" and not args.output:
-        print(f"({suppressed} baselined findings suppressed)")
-    if args.stats:
-        print(run.stats_line())
     return 1 if violations else 0
 
 
@@ -831,7 +727,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": cmd_sweep,
         "scenarios": cmd_scenarios,
         "telemetry": cmd_telemetry,
-        "perf": cmd_perf,
         "scale-bench": cmd_scale_bench,
         "lint": cmd_lint,
     }

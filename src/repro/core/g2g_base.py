@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union, cast
 
 from ..adversaries.base import Strategy
+from ..crypto.hashing import HeavyHmac
 from ..crypto.keys import Authority, Certificate, NodeIdentity
 from ..crypto.provider import CryptoProvider
 from ..crypto.tiers import make_provider
@@ -178,8 +179,7 @@ class Give2GetBase(ForwardingProtocol):
     Args:
         provider: crypto provider — an instance, a tier name from
             :data:`repro.crypto.tiers.PROVIDER_TIERS` (``"real"`` /
-            ``"simulated"`` / ``"accounting"``), or None for the fast
-            simulated default.  Named tiers are constructed at
+            ``"simulated"``), or None for the fast simulated default.  Named tiers are constructed at
             :meth:`bind` time over the run's seeded ``ctx.rng``.
         testers: who initiates test phases.  ``"source"`` (default) is
             the paper's protocol — only the message source audits its
@@ -245,7 +245,7 @@ class Give2GetBase(ForwardingProtocol):
                 node_id: self.authority.enroll(node_id)
                 for node_id in ctx.nodes
             }
-        self.heavy_hmac = provider.heavy_hmac(ctx.config.heavy_hmac_iterations)
+        self.heavy_hmac = HeavyHmac(ctx.config.heavy_hmac_iterations)
         self._sealed: Dict[int, SealedMessage] = {}
         self._wire_bytes: Dict[int, bytes] = {}
         self._hash: Dict[int, bytes] = {}

@@ -12,12 +12,10 @@ all of it from scratch:
 * :mod:`repro.crypto.hashing` — ``H()``, HMAC, heavy HMAC.
 * :mod:`repro.crypto.keys` — identities, certificates, authority.
 * :mod:`repro.crypto.provider` — real vs fast simulated providers.
-* :mod:`repro.crypto.accounting` — the accounting-only provider tier.
 * :mod:`repro.crypto.tiers` — the name -> provider tier registry.
 * :mod:`repro.crypto.session` — pairwise authenticated sessions.
 """
 
-from .accounting import AccountingCryptoProvider
 from .dh import DhGroup, default_group, generate_group
 from .hashing import (
     DEFAULT_HEAVY_ITERATIONS,
@@ -43,7 +41,6 @@ from .session import Session, SessionBroker, SessionError
 from .symmetric import AuthenticationError, SymmetricChannel
 
 __all__ = [
-    "AccountingCryptoProvider",
     "Authority",
     "AuthenticationError",
     "Certificate",

@@ -32,7 +32,6 @@ from ..perf.counters import COUNTERS
 from . import rsa, symmetric
 from .dh import DhGroup, default_group
 from .hashing import (
-    HeavyHmac,
     PreparedHmacKey,
     constant_time_equal,
     digest,
@@ -89,16 +88,6 @@ class CryptoProvider(ABC):
     @abstractmethod
     def new_session_key(self, rng: random.Random) -> bytes:
         """Derive a fresh pairwise session key (the DH handshake)."""
-
-    def heavy_hmac(self, iterations: int) -> HeavyHmac:
-        """Build the heavy MAC used by the storage challenge.
-
-        Providers that model crypto instead of computing it (the
-        accounting tier) override this with a token-valued variant
-        that still meters ``work_performed`` — the energy charge is
-        part of the model, the SHA-256 chain is not.
-        """
-        return HeavyHmac(iterations)
 
 
 class RealCryptoProvider(CryptoProvider):

@@ -1,17 +1,14 @@
-"""The provider-tier registry: real / simulated / accounting by name.
+"""The provider-tier registry: real / simulated by name.
 
 One canonical mapping from tier name to constructor so every selection
 surface — ``Give2GetBase(provider=...)``, ``api.run(provider=...)``,
-the CLI's ``--provider``, ``repro perf`` — resolves names identically.
-Tiers order by fidelity-versus-speed:
+the CLI's ``--provider`` — resolves names identically.  Tiers order by
+fidelity-versus-speed:
 
 * ``"real"`` — from-scratch RSA/DH; the ground truth, minutes per run.
 * ``"simulated"`` — HMAC-backed registry; the default, bit-identical
-  results at a small fraction of the cost.
-* ``"accounting"`` — token signatures, zero hashing on the hot path;
-  bit-identical results again (the conformance suite in
-  ``tests/test_provider_tiers.py`` holds it to that) for every run
-  inside the paper's threat model.
+  results at a small fraction of the cost (the conformance suite in
+  ``tests/test_provider_tiers.py`` holds it to that).
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional, Tuple
 
-from .accounting import AccountingCryptoProvider
 from .provider import (
     CryptoProvider,
     RealCryptoProvider,
@@ -32,11 +28,10 @@ PROVIDER_TIERS: Dict[
 ] = {
     "real": lambda rng: RealCryptoProvider(rng=rng),
     "simulated": lambda rng: SimulatedCryptoProvider(rng),
-    "accounting": lambda rng: AccountingCryptoProvider(rng),
 }
 
 #: Tier names in fidelity order (stable for CLI choices and reports).
-TIER_NAMES: Tuple[str, ...] = ("real", "simulated", "accounting")
+TIER_NAMES: Tuple[str, ...] = ("real", "simulated")
 
 
 def make_provider(

@@ -1,9 +1,8 @@
-"""Performance harness: op counters and hot-path microbenchmarks.
+"""Performance instrumentation: op counters, memory probes, scale sweep.
 
 ``repro.perf.counters`` is imported by the hot modules themselves and
-must stay dependency-free; ``repro.perf.bench`` pulls in the whole
-experiment stack and is therefore imported lazily (by the CLI and the
-perf tests), never from this package root.
+must stay dependency-free.  The repository's benchmark lives outside
+the package, in ``perfbench/``.
 """
 
 from .counters import COUNTERS, OpCounters

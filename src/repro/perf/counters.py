@@ -59,9 +59,6 @@ HOT_MODULE_COUNTERS: Dict[str, Tuple[str, ...]] = {
     ),
     "core/proofs.py": ("encodings",),
     "core/wire.py": ("encodings", "encoding_cache_hits"),
-    "crypto/accounting.py": (
-        "signatures", "verifications", "mac_cache_hits",
-    ),
     "crypto/hashing.py": ("hmac_prepares", "hmac_copies"),
     "crypto/keys.py": ("cert_checks", "cert_cache_hits"),
     "crypto/provider.py": (

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULE_REGISTRY, lint_paths, lint_source, render_report
+from repro.analysis import RULE_REGISTRY, lint_source, lint_tree, render_report
 from repro.analysis.framework import (
     LintModule,
     package_relative,
@@ -42,23 +42,23 @@ class TestFixtures:
     @pytest.mark.parametrize("rule_id", sorted(EXPECTED))
     def test_each_rule_fires_exactly_where_expected(self, rule_id):
         rel, line = EXPECTED[rule_id]
-        violations = lint_paths([FIXTURES / rel])
+        violations = lint_tree([FIXTURES / rel])
         assert [
             (v.rule_id, v.line) for v in violations
         ] == [(rule_id, line)], render_report(violations)
 
     def test_whole_fixture_tree_one_violation_per_rule(self):
-        violations = lint_paths([FIXTURES])
+        violations = lint_tree([FIXTURES])
         assert sorted(v.rule_id for v in violations) == sorted(EXPECTED)
 
     def test_clean_fixture_is_clean(self):
         clean = FIXTURES / "repro" / "experiments" / "clean.py"
-        assert lint_paths([clean]) == []
+        assert lint_tree([clean]) == []
 
 
 class TestSelfCheck:
     def test_shipped_tree_lints_clean(self):
-        violations = lint_paths([REPO_ROOT / "src"])
+        violations = lint_tree([REPO_ROOT / "src"])
         assert violations == [], render_report(violations)
 
     def test_hot_module_map_matches_fields(self):
@@ -139,7 +139,7 @@ class TestFramework:
         bad = tmp_path / "repro" / "sim"
         bad.mkdir(parents=True)
         (bad / "broken.py").write_text("def f(:\n")
-        violations = lint_paths([tmp_path])
+        violations = lint_tree([tmp_path])
         assert [v.rule_id for v in violations] == ["E999"]
         rendered = violations[0].render()
         # path:line:col: E999 message — a normal diagnostic line.
@@ -148,14 +148,14 @@ class TestFramework:
 
     def test_syntax_error_fixture(self):
         fixture = REPO_ROOT / "tests" / "fixtures" / "syntax"
-        violations = lint_paths([fixture])
+        violations = lint_tree([fixture])
         assert [v.rule_id for v in violations] == ["E999"]
         assert violations[0].line == 3
 
     def test_null_byte_file_reported_not_raised(self, tmp_path):
         bad = tmp_path / "nulls.py"
         bad.write_bytes(b"x = 1\x00\n")
-        violations = lint_paths([bad])
+        violations = lint_tree([bad])
         assert [v.rule_id for v in violations] == ["E999"]
 
     def test_unknown_rule_rejected(self):
@@ -285,7 +285,7 @@ class TestRuleDetails:
 
     def test_perf_package_exempt_from_wall_clock(self):
         source = "import time\nt = time.perf_counter()\n"
-        assert lint_source(source, rel="perf/bench.py", select=["G2G002"]) == []
+        assert lint_source(source, rel="perf/memory.py", select=["G2G002"]) == []
 
     def test_sorted_set_iteration_allowed(self):
         source = "for x in sorted(set(items)):\n    pass\n"

@@ -48,10 +48,7 @@ EXPECTED_BAD = {
 
 
 def project_lint(case, rule_id):
-    run = lint_tree(
-        [FIXTURES / case], select=[rule_id], project=True
-    )
-    return run.violations
+    return lint_tree([FIXTURES / case], select=[rule_id], project=True)
 
 
 class TestRuleFixtures:
@@ -88,14 +85,14 @@ class TestRuleFixtures:
             "def step():\n"
             "    return stamp()\n"
         )
-        run = lint_tree([tmp_path], select=["G2G008"], project=True)
-        assert run.violations == [], render_report(run.violations)
+        violations = lint_tree([tmp_path], select=["G2G008"], project=True)
+        assert violations == [], render_report(violations)
 
 
 class TestSelfCheck:
     def test_shipped_tree_passes_project_lint(self):
-        run = lint_tree([REPO_ROOT / "src"], project=True)
-        assert run.violations == [], render_report(run.violations)
+        violations = lint_tree([REPO_ROOT / "src"], project=True)
+        assert violations == [], render_report(violations)
 
     def test_real_counter_schema_is_parsed(self):
         # Guard against the G2G009 no-op failure mode: if the schema

@@ -29,6 +29,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--protocol", "prophet"])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--adversary", "bogus", "--count", "2"],
+        ["sweep", "--adversary", "bogus", "--counts", "1", "--seeds", "1"],
+    ])
+    def test_unknown_adversary_fails_at_the_boundary(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        for kind in ("dropper", "liar", "cheater", "dodger_with_outsiders"):
+            assert f"'{kind}'" in err
+
     def test_shared_flags_are_uniform(self):
         """--trace/--protocol parse identically on every command."""
         for command in ("simulate", "sweep", "trace", "communities"):

@@ -14,8 +14,10 @@ import pytest
 
 from repro.core.g2g_delegation import G2GDelegationForwarding
 from repro.core.g2g_epidemic import G2GEpidemicForwarding
+from repro.experiments.setting import evaluation_trace, standard_config
 from repro.perf import COUNTERS, OpCounters
 from repro.sim import Simulation
+from repro.sim.engine import run_simulation
 from repro.sim.serialize import results_digest
 
 
@@ -66,6 +68,18 @@ DELEGATION_PINS = {
 DELEGATION_DIGEST = (
     "e439e99b26787143e2645630602bf7f7266b547fdbdac900e6ff6f918cc9bc2a"
 )
+
+#: The full-length hot-path run: cambridge06 / G2G Epidemic / seed 1
+#: under ``standard_config``.  Every relay-loop optimisation must
+#: reproduce its digest and headline metrics bit for bit.
+HOTPATH_DIGEST = (
+    "a8652842493ac8a3b933f3bac73ca0525b351682224ff84effe62708d0ac81b0"
+)
+HOTPATH_METRICS = {
+    "success_rate": 0.702733,
+    "cost": 23.604214,
+    "total_energy": 2550.404531,
+}
 
 
 @pytest.fixture
@@ -147,25 +161,6 @@ class TestHotPathBudgets:
         for field, expected in BATCHED_VERIFY_PINS.items():
             assert diff[field] == expected, field
 
-    def test_accounting_tier_matches_verify_pins(
-        self, mini_synthetic, quick_config
-    ):
-        # The accounting tier does zero real hashing but must count
-        # the exact same signature-path operations as the simulated
-        # tier on the same run.
-        before = COUNTERS.snapshot()
-        Simulation(
-            mini_synthetic.trace,
-            G2GEpidemicForwarding(provider="accounting"),
-            quick_config,
-        ).run()
-        diff = COUNTERS.diff(before)
-        for field, expected in BATCHED_VERIFY_PINS.items():
-            assert diff[field] == expected, field
-        # What the tier removes is the real HMAC work, and only that.
-        assert diff["hmac_copies"] == 0
-        assert diff["relay_entries"] == BUDGET["relay_entries"]
-
     def test_run_still_delivers(self, budget_run):
         _, results = budget_run
         assert results.delivered > 0
@@ -194,3 +189,16 @@ class TestDelegationBudget:
     def test_results_digest_unchanged(self, delegation_run):
         _, results = delegation_run
         assert results_digest(results) == DELEGATION_DIGEST
+
+
+class TestHotPathDigest:
+    def test_full_cambridge06_run_is_bit_identical(self):
+        results = run_simulation(
+            evaluation_trace("cambridge06"),
+            G2GEpidemicForwarding(),
+            standard_config("cambridge06", "epidemic", 1),
+        )
+        assert results_digest(results) == HOTPATH_DIGEST
+        assert {
+            name: round(getattr(results, name), 6) for name in HOTPATH_METRICS
+        } == HOTPATH_METRICS

@@ -1,4 +1,5 @@
-"""Tests for the memory-measurement helpers (repro.perf.memory)."""
+"""Tests for the memory-measurement helpers (repro.perf.memory) and the
+scale sweep's memory-growth note (repro.perf.scalebench)."""
 
 import tracemalloc
 
@@ -61,3 +62,18 @@ class TestRssProbes:
         rss = current_rss_bytes()
         if rss is not None:  # Linux container: always taken
             assert 0 < rss <= peak_rss_bytes()
+
+
+class TestScaleBenchNotes:
+    def test_growth_note_states_the_measured_slope(self):
+        from repro.perf.scalebench import _growth_note
+
+        points = [
+            {"contacts": 10_000, "peak_rss_bytes": 40_000_000},
+            {"contacts": 40_000, "peak_rss_bytes": 60_000_000},
+        ]
+        assert _growth_note(points) == (
+            " From 10000 to 40000 contacts (4.0x) peak RSS grows"
+            " from 40 to 60 MB (1.5x)."
+        )
+        assert _growth_note(points[:1]) == ""

@@ -1,13 +1,12 @@
 """Conformance suite for the crypto provider tiers.
 
 The contract: the provider tier changes *wall-clock*, never *results*.
-Real (from-scratch RSA), simulated (HMAC-backed registry), and
-accounting (token signatures, zero hashing) must produce bit-identical
-:class:`SimulationResults` — same success rate, cost, energy ledger,
-detections, evictions — on the golden specs.  G2G's equilibrium
-argument depends on what is verified, not on how the verification is
-computed, so any digest divergence here means a tier leaked into the
-simulation's observable behavior.
+Real (from-scratch RSA) and simulated (HMAC-backed registry) must
+produce bit-identical :class:`SimulationResults` — same success rate,
+cost, energy ledger, detections, evictions — on the golden specs.
+G2G's equilibrium argument depends on what is verified, not on how the
+verification is computed, so any digest divergence here means a tier
+leaked into the simulation's observable behavior.
 
 The real tier runs with small (384-bit) keys and its own seeded RNG to
 stay test-sized; that is itself part of the contract under test —
@@ -24,9 +23,9 @@ from repro import api
 from repro.adversaries import Cheater, Liar
 from repro.core import G2GDelegationForwarding, G2GEpidemicForwarding
 from repro.crypto import (
-    AccountingCryptoProvider,
     PROVIDER_TIERS,
     RealCryptoProvider,
+    SimulatedCryptoProvider,
     TIER_NAMES,
     make_provider,
 )
@@ -61,30 +60,22 @@ def metrics_of(results):
 class TestTierRegistry:
     def test_tier_names_cover_the_registry(self):
         assert set(TIER_NAMES) == set(PROVIDER_TIERS)
-        assert TIER_NAMES == ("real", "simulated", "accounting")
+        assert TIER_NAMES == ("real", "simulated")
 
     def test_make_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown crypto provider tier"):
             make_provider("quantum")
 
     def test_make_provider_builds_each_tier(self):
-        for name in ("simulated", "accounting"):
-            provider = make_provider(name, random.Random(1))
-            private_key, public_key = provider.generate_keypair()
-            payload = b"tier-check"
-            assert provider.verify(
-                public_key, payload, provider.sign(private_key, payload)
-            )
+        provider = make_provider("simulated", random.Random(1))
+        private_key, public_key = provider.generate_keypair()
+        payload = b"tier-check"
+        assert provider.verify(
+            public_key, payload, provider.sign(private_key, payload)
+        )
 
 
 class TestGoldenSpecConformance:
-    @pytest.mark.parametrize("trace_name", GOLDEN_SPECS)
-    def test_accounting_matches_simulated(self, trace_name):
-        simulated = run_tier(trace_name, "simulated")
-        accounting = run_tier(trace_name, "accounting")
-        assert metrics_of(simulated) == metrics_of(accounting)
-        assert results_digest(simulated) == results_digest(accounting)
-
     @pytest.mark.parametrize("trace_name", GOLDEN_SPECS)
     def test_real_matches_simulated(self, trace_name):
         # A provider instance with its own RNG: the run must not care
@@ -98,35 +89,8 @@ class TestGoldenSpecConformance:
         assert results_digest(real) == results_digest(simulated)
 
     def test_adversarial_detections_match_across_tiers(self):
-        kwargs = dict(mix={"dropper": 0.2})
-        simulated = run_tier("cambridge06", "simulated", **kwargs)
-        accounting = run_tier("cambridge06", "accounting", **kwargs)
+        simulated = run_tier("cambridge06", "simulated", mix={"dropper": 0.2})
         assert simulated.detections  # the spec must actually convict
-        assert metrics_of(simulated) == metrics_of(accounting)
-        assert simulated.evicted_at == accounting.evicted_at
-        assert results_digest(simulated) == results_digest(accounting)
-
-
-class TestScenarioParityAcrossTiers:
-    def test_depleted_energy_behavior_matches(self):
-        # A budget small enough that nodes deplete mid-run: depletion
-        # ordering depends on the energy ledger, which the accounting
-        # tier must charge identically despite doing no real crypto.
-        kwargs = dict(energy_budgets=("constant", 40.0))
-        simulated = run_tier("cambridge06", "simulated", **kwargs)
-        accounting = run_tier("cambridge06", "accounting", **kwargs)
-        assert metrics_of(simulated) == metrics_of(accounting)
-        assert results_digest(simulated) == results_digest(accounting)
-
-    def test_eviction_behavior_matches_with_churn(self):
-        kwargs = dict(
-            mix={"dropper": 0.2},
-            churn=[(0.2, 600.0, 1200.0)],
-        )
-        simulated = run_tier("cambridge06", "simulated", **kwargs)
-        accounting = run_tier("cambridge06", "accounting", **kwargs)
-        assert simulated.evicted_at == accounting.evicted_at
-        assert results_digest(simulated) == results_digest(accounting)
 
 
 #: The deviating nodes of the delegation parity runs; both are
@@ -164,16 +128,9 @@ class TestDelegationParityAcrossTiers:
             results_digest(run_delegation(
                 mini_synthetic, "last_contact", Cheater, provider
             ))
-            for provider in ("simulated", "accounting", real_provider())
+            for provider in ("simulated", real_provider())
         }
         assert len(digests) == 1
-
-    def test_liars_match_on_simulated_and_accounting(self, mini_synthetic):
-        simulated, accounting = (
-            run_delegation(mini_synthetic, "frequency", Liar, provider)
-            for provider in ("simulated", "accounting")
-        )
-        assert results_digest(simulated) == results_digest(accounting)
 
     @pytest.mark.xfail(
         strict=True,
@@ -195,7 +152,7 @@ class TestDelegationParityAcrossTiers:
 
 class TestSelectionSurfaces:
     def test_api_run_accepts_provider_instances(self):
-        provider = AccountingCryptoProvider(random.Random(3))
+        provider = SimulatedCryptoProvider(random.Random(3))
         results = run_tier("cambridge06", provider)
         assert results.generated > 0
 
@@ -203,22 +160,20 @@ class TestSelectionSurfaces:
         with pytest.raises(ValueError, match="does not take a crypto"):
             api.run(
                 "cambridge06", "epidemic", dict(QUICK), seed=1,
-                provider="accounting",
+                provider="simulated",
             )
 
     def test_use_provider_refuses_rebind(self):
         protocol = G2GEpidemicForwarding()
         api.run("cambridge06", protocol, dict(QUICK), seed=1)
         with pytest.raises(RuntimeError, match="before bind"):
-            protocol.use_provider("accounting")
+            protocol.use_provider("simulated")
 
     def test_cli_provider_flag_is_wired(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["simulate", "--provider", "accounting"]
+            ["simulate", "--provider", "simulated"]
         )
-        assert args.provider == "accounting"
-        args = build_parser().parse_args(["perf", "--provider", "simulated"])
         assert args.provider == "simulated"
 
