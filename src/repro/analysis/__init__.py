@@ -6,9 +6,9 @@ seed, immutable signed wire artifacts, honest op-count budgets — are
 This package enforces them statically with a small AST lint framework
 (:mod:`repro.analysis.framework`), seven single-file rules
 (:mod:`repro.analysis.rules`, ids ``G2G001``–``G2G007``), a
-whole-program model with five cross-module flow rules
+whole-program model with six cross-module flow rules
 (:mod:`repro.analysis.project` / :mod:`repro.analysis.flow_rules`,
-ids ``G2G008``–``G2G012``, behind ``repro lint --project``), and a
+ids ``G2G008``–``G2G013``, behind ``repro lint --project``), and a
 runner (:mod:`repro.analysis.runner`) with text/JSON/SARIF output —
 all behind the ``repro lint`` CLI command.
 

@@ -100,6 +100,19 @@ def _adversary_kinds() -> Tuple[str, ...]:
     )
 
 
+def _int_list(text: str) -> Tuple[int, ...]:
+    """Parse a comma-separated list of integers (``--counts``/``--seeds``)."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {item!r} in {text!r}"
+            ) from None
+    return tuple(values)
+
+
 def _telemetry_parent() -> argparse.ArgumentParser:
     """Shared ``--telemetry-dir`` flag (simulate/experiment/sweep)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -186,10 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="deviation kind (default: dropper), one of: %(choices)s",
     )
     sweep.add_argument(
-        "--counts", default="0,10,20,30",
+        "--counts", type=_int_list, default="0,10,20,30",
         help="comma-separated adversary counts",
     )
-    sweep.add_argument("--seeds", default="1,2", help="comma-separated seeds")
+    sweep.add_argument(
+        "--seeds", type=_int_list, default="1,2",
+        help="comma-separated seeds",
+    )
     sweep.add_argument("--archive", default="sweep-runs",
                        help="archive directory")
     sweep.add_argument("--csv", default=None, help="also export CSV here")
@@ -470,8 +486,6 @@ def cmd_sweep(args) -> int:
     from .experiments.sweeps import SweepRunner, dropper_grid
     from .telemetry.export import TelemetryCollector
 
-    counts = tuple(int(c) for c in args.counts.split(","))
-    seeds = tuple(int(s) for s in args.seeds.split(","))
     sweep_name = f"{args.trace}-{args.protocol}-{args.adversary}"
     runner = SweepRunner(
         archive_dir=args.archive,
@@ -483,7 +497,7 @@ def cmd_sweep(args) -> int:
         ),
     )
     specs = dropper_grid(
-        args.trace, args.protocol, counts=counts, seeds=seeds,
+        args.trace, args.protocol, counts=args.counts, seeds=args.seeds,
         deviation=args.adversary,
     )
     print(f"sweep {sweep_name}: {len(specs)} runs -> {runner.path_for(specs[0]).parent}")

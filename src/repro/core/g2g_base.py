@@ -143,9 +143,9 @@ class RelayPlan:
 
 #: The all-defaults plan of the unconditional (epidemic) negotiation,
 #: built once and shared by every hand-off.  Strictly read-only: the
-#: relay path copies ``attachments`` before storing and never writes a
-#: plan field, so one instance can parameterize 40k+ relays without
-#: 40k dataclass constructions.
+#: relay path copies non-empty ``attachments`` before storing and never
+#: writes a plan field, so one instance can parameterize 40k+ relays
+#: without 40k dataclass constructions.
 ACCEPT_PLAN = RelayPlan()
 
 
@@ -359,10 +359,9 @@ class Give2GetBase(ForwardingProtocol):
         The base :meth:`Strategy.accept_session` accepts
         unconditionally without reading ``pending_givers``, so the
         O(taken-messages) exposure scan is only worth computing for
-        strategies that override the hook (the test dodgers).  The
-        scan's only side effect is garbage-collecting expired ``taken``
-        entries — pure bookkeeping nothing else reads — so skipping it
-        for honest nodes is behavior-neutral.
+        strategies that override the hook (the test dodgers).  Only
+        such nodes keep a ``taken`` map (see :meth:`_relay_one`), so
+        for every other node the scan would find nothing to read.
         """
         if type(node.strategy).accept_session is Strategy.accept_session:
             return frozenset()
@@ -484,7 +483,7 @@ class Give2GetBase(ForwardingProtocol):
                 if copy.message.source == giver_id
                 else relay_fanout
             )
-            if len(copy.relays) >= cap:
+            if len(copy.proofs) >= cap:
                 continue
             # ``participating`` unrolled (it is a property, and two
             # property calls per candidate are measurable here).
@@ -577,11 +576,11 @@ class Give2GetBase(ForwardingProtocol):
         energy_acct[taker_id] = energy_get(taker_id, 0.0) + self._sig_cost
         pending.append((taker_identity.certificate, por))
         energy_acct[giver_id] = energy_get(giver_id, 0.0) + self._ver_cost
-        copy.proofs.append(por)
-        copy.relays.append(taker_id)
+        proofs = copy.proofs
+        proofs.append(por)
         if (
             message.source != giver_id
-            and len(copy.relays) >= self._relay_fanout
+            and len(proofs) >= self._relay_fanout
         ):
             # Two proofs collected: the body may be discarded; the
             # proofs stay until Δ2.  The source keeps its own message
@@ -632,26 +631,32 @@ class Give2GetBase(ForwardingProtocol):
         copy.quality = plan.new_copy_quality
         if self._bounded_buffers:
             make_room(ctx, taker, now)
+        # Without attachments (every G2G Epidemic hand-off) the copy
+        # shares the empty tuple instead of holding a fresh list.
+        attachments = plan.attachments
         taker.store(
             StoredCopy(
                 message=message,
                 quality=plan.new_copy_quality,
-                attachments=list(plan.attachments),
+                attachments=list(attachments) if attachments else (),
             ),
             now,
             results,
         )
-        # The taker remembers who gave it what, and until when it can
-        # be tested — the knowledge both honest bookkeeping and a
-        # test-dodging strategy operate on.
         purge_at = message.created_at + self._delta2
-        taken = taker.extra.get("taken")
-        if taken is None:
-            taken = taker.extra["taken"] = {}
-        taken[msg_id] = (giver_id, purge_at)
+        taker_strategy = taker.strategy
+        if type(taker_strategy).accept_session is not Strategy.accept_session:
+            # A test-dodging taker remembers who gave it what, and until
+            # when it can be tested: the exposure ``_pending_givers``
+            # reads.  No other strategy reads it, so no other taker
+            # keeps it.
+            taken = taker.extra.get("taken")
+            if taken is None:
+                taken = taker.extra["taken"] = {}
+            taken[msg_id] = (giver_id, purge_at)
         _enqueue_deadline(self._purge_queues[taker_id], purge_at, msg_id)
         COUNTERS.relay_handoffs += 1
-        keep = taker.strategy.keep_relayed_copy(
+        keep = taker_strategy.keep_relayed_copy(
             taker_id, message, giver_id, now
         )
         if not keep:
@@ -854,7 +859,10 @@ class Give2GetBase(ForwardingProtocol):
         (strategy drops, body discards, evictions) are simply skipped
         — the buffer stays authoritative, the queue only schedules the
         look.  A message id never re-enters a node's buffer (``seen``
-        forbids re-taking), so one entry per store suffices.  Record
+        forbids re-taking), so one entry per store suffices.  A
+        test-dodger's ``taken`` entry for the id goes with it: it has
+        the same deadline, and :meth:`_pending_givers` discards an
+        entry by the same strictly-``deadline < now`` rule.  Record
         removal is unobservable by construction: every read of a
         source record is guarded by its Δ2 window.
         """
@@ -865,9 +873,12 @@ class Give2GetBase(ForwardingProtocol):
             count = bisect_left(times, now)
             results = self.ctx.results
             buffer = node.buffer
+            taken = node.extra.get("taken")
             for msg_id in ids[:count]:
                 if msg_id in buffer:
                     node.drop(msg_id, now, results)
+                if taken:
+                    taken.pop(msg_id, None)
             del times[:count]
             del ids[:count]
         times, ids = self._record_queues[node_id]

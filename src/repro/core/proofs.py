@@ -97,12 +97,12 @@ def make_proof_of_relay(
     """Sign a PoR as the taker of a message.
 
     One PoR is built per hand-off — the hottest allocation in a G2G
-    run — so the instance is assembled by writing the field dict
-    directly instead of going through the frozen-dataclass ``__init__``
-    (which pays an ``object.__setattr__`` per field).  The result is
-    indistinguishable from a normally constructed instance: equality,
-    hashing, ``repr`` and ``dataclasses.replace`` all read the same
-    attributes, and ``ProofOfRelay`` defines no ``__post_init__``.
+    run — so the instance is assembled by filling its slots directly
+    instead of going through the frozen-dataclass ``__init__``.  The
+    result is indistinguishable from a normally constructed instance:
+    equality, hashing, ``repr`` and ``dataclasses.replace`` all read
+    the same attributes, and ``ProofOfRelay`` defines no
+    ``__post_init__``.
 
     The signed payload is encoded inline, byte-for-byte identical to
     :meth:`ProofOfRelay.payload`, and pre-seeded into the encoding
@@ -125,17 +125,18 @@ def make_proof_of_relay(
         repr(now).encode(),
     ))
     por = ProofOfRelay.__new__(ProofOfRelay)
-    por.__dict__.update(
-        msg_hash=msg_hash,
-        giver=giver,
-        taker=taker_id,
-        quality_subject=quality_subject,
-        message_quality=message_quality,
-        taker_quality=taker_quality,
-        signed_at=now,
-        signature=taker.provider.sign(taker.private_key, payload),
-        _payload=payload,
+    setattr_ = object.__setattr__
+    setattr_(por, "msg_hash", msg_hash)
+    setattr_(por, "giver", giver)
+    setattr_(por, "taker", taker_id)
+    setattr_(por, "quality_subject", quality_subject)
+    setattr_(por, "message_quality", message_quality)
+    setattr_(por, "taker_quality", taker_quality)
+    setattr_(por, "signed_at", now)
+    setattr_(
+        por, "signature", taker.provider.sign(taker.private_key, payload)
     )
+    setattr_(por, "_payload", payload)
     return por
 
 

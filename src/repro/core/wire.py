@@ -8,11 +8,12 @@ in one role from being replayed in another.
 
 Every artifact is a frozen dataclass, so its encoding is a pure
 function of its fields: ``payload()``/``wire_bytes()``/``content_hash()``
-are computed once per instance and memoized on the instance (stored
-outside the dataclass fields, so equality, hashing, and pickling are
-unaffected).  The signer and every later verifier therefore share one
-encoding — byte-identical to an uncached recomputation, which is what
-keeps the cache invisible to signature semantics.
+are computed once per instance and memoized on the instance (in its
+dict, or for the slotted :class:`ProofOfRelay` in a slot; either way
+outside equality and hashing).  The signer and every later verifier
+therefore share one encoding — byte-identical to an uncached
+recomputation, which is what keeps the cache invisible to signature
+semantics.
 
 The simulator-facing constructors live in :mod:`repro.core.proofs`;
 this module is pure data + encoding.
@@ -20,7 +21,7 @@ this module is pure data + encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..crypto.hashing import digest
@@ -166,13 +167,18 @@ class QualityDeclaration:
         ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofOfRelay:
     """Step 4 / step 11: the receipt a relay signs on taking a message.
 
     Epidemic form: ``<POR, H(m), A, B>_B``.  Delegation form adds the
     quality subject D', the message's quality label at hand-off
     (``f_m``), and the taker's declared quality (``f_BD``).
+
+    Slotted: every hand-off keeps one PoR until Δ2, so the instance
+    carries no per-object dict.  The payload memo is a slot of its own
+    (``_payload``), kept out of equality, hashing and ``repr``; it is
+    pickled with the fields.
     """
 
     msg_hash: bytes
@@ -183,6 +189,9 @@ class ProofOfRelay:
     taker_quality: Optional[float] = None
     signed_at: float = 0.0
     signature: bytes = b""
+    _payload: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def payload(self) -> bytes:
         """Bytes covered by the signature.
@@ -192,7 +201,7 @@ class ProofOfRelay:
         in the simulator, and its field types are statically known.
         The bytes are identical to the generic encoder's output.
         """
-        cached = self.__dict__.get("_payload")
+        cached = self._payload
         if cached is not None:
             COUNTERS.encoding_cache_hits += 1
             return cached

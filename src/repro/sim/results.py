@@ -25,9 +25,12 @@ from ..traces.trace import NodeId
 from .messages import Message
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
-    """Lifecycle of one generated message."""
+    """Lifecycle of one generated message.
+
+    Slotted: a run's results hold one record per generated message.
+    """
 
     message: Message
     delivered_at: Optional[float] = None

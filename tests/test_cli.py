@@ -42,6 +42,31 @@ class TestParser:
         for kind in ("dropper", "liar", "cheater", "dodger_with_outsiders"):
             assert f"'{kind}'" in err
 
+    @pytest.mark.parametrize("flag, value, bad", [
+        ("--counts", "x", "x"),
+        ("--counts", "0,1.5", "1.5"),
+        ("--seeds", "1,,2", ""),
+    ])
+    def test_bad_sweep_int_list_names_the_value(self, flag, value, bad,
+                                                capsys):
+        argv = ["sweep", "--protocol", "epidemic", "--counts", "1",
+                "--seeds", "1", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert f"argument {flag}: invalid integer {bad!r} in {value!r}" in err
+
+    def test_sweep_int_lists_parse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--counts", "0,5", "--seeds", "3"]
+        )
+        assert args.counts == (0, 5) and args.seeds == (3,)
+        defaults = build_parser().parse_args(["sweep"])
+        assert defaults.counts == (0, 10, 20, 30)
+        assert defaults.seeds == (1, 2)
+
     def test_shared_flags_are_uniform(self):
         """--trace/--protocol parse identically on every command."""
         for command in ("simulate", "sweep", "trace", "communities"):

@@ -217,6 +217,44 @@ class TestDodgerMechanics:
         protocol.on_contact_start(0, 1, 2500.0)
         assert ctx.results.session_refusals == 0
 
+    def test_taken_answers_and_leaves_at_its_delta2_purge(self):
+        from repro.adversaries import Dodger
+
+        protocol, ctx = harness(strategies={1: Dodger()})
+        dodger = ctx.node(1)
+        inject(protocol, ctx, source=0, destination=5, created=0.0, msg_id=0)
+        protocol.on_contact_start(0, 1, 10.0)  # take + drop
+        inject(protocol, ctx, source=2, destination=4, created=500.0,
+               msg_id=1)
+        protocol.on_contact_start(2, 1, 600.0)  # 2 is no creditor yet
+        assert ctx.results.session_refusals == 0
+        # Δ2 = 2 * Δ1 = 2000 s after creation.
+        assert dodger.extra["taken"] == {0: (0, 2000.0), 1: (2, 2500.0)}
+        assert protocol._pending_givers(dodger, 1000.0) == {0, 2}
+        # The window is closed strictly after the deadline.
+        assert protocol._pending_givers(dodger, 2000.0) == {0, 2}
+        protocol.on_contact_start(1, 3, 2000.0)
+        assert set(dodger.extra["taken"]) == {0, 1}
+        # The Δ2 purge itself drops the entry, whether or not a
+        # session scan follows it.
+        protocol._apply_ripe_purges(dodger, 2001.0)
+        assert dodger.extra["taken"] == {1: (2, 2500.0)}
+        assert protocol._pending_givers(dodger, 2001.0) == {2}
+        protocol._apply_ripe_purges(dodger, 2600.0)
+        assert dodger.extra["taken"] == {}
+        protocol.on_contact_start(1, 3, 2600.0)
+        assert protocol._pending_givers(dodger, 2600.0) == frozenset()
+        assert ctx.results.session_refusals == 0
+
+    @pytest.mark.parametrize("strategy", [None, Dropper()])
+    def test_takers_that_never_dodge_keep_no_taken_map(self, strategy):
+        strategies = {1: strategy} if strategy is not None else None
+        protocol, ctx = harness(strategies=strategies)
+        inject(protocol, ctx, source=0, destination=5, created=0.0)
+        protocol.on_contact_start(0, 1, 10.0)
+        assert ctx.results.messages[0].replicas == 1
+        assert "taken" not in ctx.node(1).extra
+
     def test_honest_nodes_have_no_pending_givers(self):
         protocol, ctx = harness()
         inject(protocol, ctx, source=0, destination=5, created=0.0)

@@ -1,5 +1,11 @@
 """Tests for the wire-level artifact encodings."""
 
+import dataclasses
+import pickle
+
+import pytest
+
+from repro.core.proofs import make_proof_of_relay, verify_proof_of_relay
 from repro.core.wire import (
     ProofOfRelay,
     QualityDeclaration,
@@ -82,3 +88,71 @@ class TestSealedMessage:
             msg_id=1, destination=42, ciphertext=b"ct", source_signature=b"s"
         )
         assert m.destination == 42
+
+
+class TestProofOfRelaySlots:
+    """One PoR is kept per hand-off until Δ2: no per-instance dict."""
+
+    @pytest.fixture
+    def signed(self, authority):
+        giver, taker = authority.enroll(1), authority.enroll(2)
+        por = make_proof_of_relay(
+            taker, b"h" * 32, giver.node_id, 10.0,
+            quality_subject=3, message_quality=0.5, taker_quality=0.75,
+        )
+        return giver, taker, por
+
+    def test_no_dict_and_no_ad_hoc_attributes(self, signed):
+        _, _, por = signed
+        assert not hasattr(por, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            por.signed_at = 11.0
+        # Even past the freeze there is nowhere to put a new attribute.
+        with pytest.raises(AttributeError):
+            object.__setattr__(por, "ad_hoc", 1)
+
+    def test_builder_seeds_the_payload_memo(self, signed):
+        _, _, por = signed
+        assert por._payload is not None
+        unsigned = ProofOfRelay(
+            msg_hash=por.msg_hash, giver=por.giver, taker=por.taker,
+            quality_subject=3, message_quality=0.5, taker_quality=0.75,
+            signed_at=10.0,
+        )
+        assert unsigned._payload is None
+        assert por.payload() == unsigned.payload()
+
+    def test_memo_outside_eq_hash_and_repr(self, signed):
+        _, _, por = signed
+        rebuilt = ProofOfRelay(
+            msg_hash=por.msg_hash, giver=por.giver, taker=por.taker,
+            quality_subject=3, message_quality=0.5, taker_quality=0.75,
+            signed_at=10.0, signature=por.signature,
+        )
+        assert rebuilt._payload is None
+        assert rebuilt == por
+        assert hash(rebuilt) == hash(por)
+        assert repr(rebuilt) == repr(por)
+        assert "_payload" not in repr(por)
+        assert "_payload" not in [
+            f.name for f in dataclasses.fields(por) if f.compare
+        ]
+
+    def test_pickle_keeps_fields_and_memo(self, signed):
+        giver, taker, por = signed
+        restored = pickle.loads(pickle.dumps(por))
+        assert restored == por
+        assert hash(restored) == hash(por)
+        assert restored._payload == por._payload
+        assert restored.signature == por.signature
+        assert verify_proof_of_relay(giver, taker.certificate, restored)
+
+    def test_replace_re_encodes(self, signed):
+        giver, taker, por = signed
+        same = dataclasses.replace(por)
+        assert same == por
+        assert same.payload() == por.payload()
+        forged = dataclasses.replace(por, taker_quality=99.0)
+        assert forged != por
+        assert forged.payload() != por.payload()
+        assert not verify_proof_of_relay(giver, taker.certificate, forged)

@@ -1,14 +1,16 @@
-"""Memory budget of a streamed epidemic run (deterministic, tracemalloc).
+"""Memory budgets of streamed epidemic and G2G runs (tracemalloc).
 
 Epidemic floods every live copy to every node that has not handled it,
 so per-copy and per-node handled-message state is what a streamed run's
-memory is made of.  The budget below pins how small that state stays:
-``tracemalloc`` counts Python allocations exactly, so the peak is the
-same on every machine and run, unlike RSS.
+memory is made of; G2G adds, per hand-off, the taker's copy and the
+proof of relay the giver keeps until Δ2.  The budgets below pin how
+small that state stays: ``tracemalloc`` counts Python allocations
+exactly, so the peak is the same on every machine and run, unlike RSS.
 """
 
 import pytest
 
+from repro.core import G2GEpidemicForwarding
 from repro.perf import measure_peak_alloc
 from repro.protocols import (
     BubbleRapForwarding,
@@ -38,9 +40,19 @@ MESSAGES = 200
 PEAK_BUDGET = 5_500_000
 
 
-def tiny_stream_run():
+#: Traced peak of one honest G2G Epidemic run over the same stream
+#: with 500 nodes, in bytes.  Slotted messages, records and proofs of
+#: relay, no per-copy relay list, a shared empty attachment sequence and
+#: no ``taken`` map at honest takers peak at 5,880,292 B; a dict per
+#: message, record and proof plus those per-copy lists peaked at
+#: 9,018,908 B.
+G2G_NODES = 500
+G2G_PEAK_BUDGET = 6_500_000
+
+
+def tiny_stream_run(protocol=None, nodes=NODES):
     source = SyntheticStreamSource(StreamModelConfig(
-        nodes=NODES,
+        nodes=nodes,
         duration=DURATION,
         seed=0,
         contacts_per_node=CONTACTS_PER_NODE,
@@ -54,7 +66,9 @@ def tiny_stream_run():
         seed=0,
         track_memory=False,
     )
-    return Simulation(source, EpidemicForwarding(), config).run()
+    return Simulation(
+        source, protocol or EpidemicForwarding(), config
+    ).run()
 
 
 class TestStreamedEpidemicBudget:
@@ -64,6 +78,19 @@ class TestStreamedEpidemicBudget:
         assert peak < PEAK_BUDGET, (
             f"streamed epidemic peaked at {peak / 1e6:.1f} MB of Python "
             f"allocations, over the {PEAK_BUDGET / 1e6:.0f} MB budget"
+        )
+
+
+class TestStreamedG2GBudget:
+    def test_traced_peak_within_budget(self):
+        results, peak = measure_peak_alloc(
+            lambda: tiny_stream_run(G2GEpidemicForwarding(), G2G_NODES)
+        )
+        assert results.delivered > 0 and results.relay_attempts > 0
+        assert peak < G2G_PEAK_BUDGET, (
+            f"streamed G2G Epidemic peaked at {peak / 1e6:.2f} MB of "
+            f"Python allocations, over the "
+            f"{G2G_PEAK_BUDGET / 1e6:.1f} MB budget"
         )
 
 
