@@ -19,7 +19,6 @@ from repro.core import G2GEpidemicForwarding
 from repro.core.payoff import best_response_check
 from repro.experiments import evaluation_trace, standard_config
 from repro.experiments.runner import ReplicationPlan
-from repro.experiments.sweeps import RunSpec  # noqa: F401 (docs example)
 from repro.adversaries import strategy_population
 from repro.sim import Simulation
 

@@ -1,30 +1,27 @@
 #!/usr/bin/env python3
-"""Sweep campaign: archived runs, resumability, and terminal charts.
+"""Sweep campaign: cached runs, resumability, and terminal charts.
 
 Shows the workflow a measurement study would use on top of this
 library:
 
-1. define a grid of runs (dropper counts x seeds for two protocols);
-2. execute it through the archived :class:`SweepRunner` — rerunning
-   the script reuses finished runs instead of resimulating;
-3. aggregate the archive into the Fig. 3-style curves and chart them
-   in the terminal;
-4. export the flat summary table as CSV.
+1. sweep dropper counts x seeds for two protocols with
+   ``repro.api.sweep``, against an on-disk run cache — rerunning the
+   script reuses finished runs instead of resimulating;
+2. chart the Fig. 3-style delivery curves in the terminal.
 
-For in-memory sweeps without the archival layer, use the facade
-instead: ``repro.api.sweep(trace, protocol, counts, workers=...)``.
+For a flat per-run CSV of the same sweep, use the CLI:
+``python -m repro sweep --protocol g2g_epidemic --counts 0,10,20,30
+--seeds 1 --csv sweep.csv``.
 
 Run:  python examples/sweep_campaign.py          (first run simulates)
       python examples/sweep_campaign.py          (second run is instant)
 """
 
-import tempfile
-from collections import defaultdict
 from pathlib import Path
 
-from repro.experiments.parallel import ExecutionOptions
+from repro import api
+from repro.experiments import RunReport
 from repro.experiments.runner import FigureData, Series
-from repro.experiments.sweeps import RunSpec, SweepRunner, dropper_grid
 from repro.metrics import chart_figure
 
 #: Keep the demo snappy: two protocols, four counts, one seed.
@@ -32,58 +29,31 @@ COUNTS = (0, 10, 20, 30)
 SEEDS = (1,)
 PROTOCOLS = ("epidemic", "g2g_epidemic")
 
-#: Archive next to this script so re-runs resume (delete to reset).
-ARCHIVE = Path(__file__).parent / ".sweep-archive"
+#: Run cache next to this script so re-runs resume (delete to reset).
+CACHE_DIR = Path(__file__).parent / ".repro-cache"
 
 
 def main() -> None:
-    all_specs = []
-    for protocol in PROTOCOLS:
-        all_specs.extend(
-            dropper_grid("infocom05", protocol, counts=COUNTS, seeds=SEEDS)
-        )
-
-    done_before = 0
-    runner = SweepRunner(
-        archive_dir=ARCHIVE,
-        sweep="dropper-campaign",
-        on_result=lambda spec, results, cached: print(
-            f"  [{'cached' if cached else 'ran   '}] {spec.spec_id:<46} "
-            f"success {results.success_rate:.1%}"
-        ),
-    )
-    done_before = sum(runner.is_done(s) for s in all_specs)
-    print(
-        f"Campaign: {len(all_specs)} runs "
-        f"({done_before} already archived under {ARCHIVE.name}/)"
-    )
-    # Two workers overlap the fresh runs; archived ones just load.
-    results = runner.run_all(
-        all_specs, options=ExecutionOptions(workers=2)
-    )
-
-    # Aggregate into delivery-vs-droppers curves.
-    curves = defaultdict(lambda: defaultdict(list))
-    for spec, run in results.items():
-        curves[spec.protocol][spec.count].append(run.success_rate)
     figure = FigureData(
         figure_id="campaign",
-        title="Droppers vs delivery (archived sweep)",
+        title="Droppers vs delivery (cached sweep)",
         x_label="Droppers Number",
         y_label="Delivery %",
     )
-    for protocol, by_count in curves.items():
+    for protocol in PROTOCOLS:
+        report = RunReport()
+        # Two workers overlap the fresh runs; cached ones just load.
+        points = api.sweep(
+            "infocom05", protocol, COUNTS, seeds=SEEDS, workers=2,
+            cache_dir=str(CACHE_DIR), report=report,
+        )
+        print(f"{protocol}: {report.summary()}")
         series = Series(label=protocol)
-        for count in sorted(by_count):
-            values = by_count[count]
-            series.add(count, 100.0 * sum(values) / len(values))
+        for count, point in points:
+            series.add(count, point.success_percent)
         figure.series.append(series)
     print()
     print(chart_figure(figure))
-
-    csv_path = ARCHIVE / "summary.csv"
-    rows = runner.summary_csv(csv_path)
-    print(f"\nExported {rows} run summaries to {csv_path}")
 
 
 if __name__ == "__main__":

@@ -470,12 +470,6 @@ class ProjectModel:
 
     # -- call graph -----------------------------------------------------
 
-    def function_node(
-        self, entry: Dict[str, Any], qual: str
-    ) -> Tuple[str, str]:
-        """Stable identifier for one function: ``(rel, qualname)``."""
-        return (entry["rel"], qual)
-
     def resolve_callee(
         self, caller_entry: Dict[str, Any], caller_qual: str, target: str
     ) -> Optional[Tuple[str, str]]:

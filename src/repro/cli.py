@@ -7,6 +7,8 @@ Commands:
   runs).
 * ``experiment`` — regenerate one paper table/figure (fig3, fig4,
   fig5, fig7, fig8, table1) and print its text rendering.
+* ``sweep`` — an adversary-count sweep of one protocol, resumable via
+  the run cache, with an optional per-run CSV.
 * ``trace`` — generate a synthetic evaluation trace, print its
   profile, and optionally save it in the CRAWDAD-style text format.
 * ``communities`` — run k-clique community detection on a trace.
@@ -21,9 +23,10 @@ Commands:
 
 The run-shaped commands (``simulate``, ``sweep``, ``trace``,
 ``communities``) share their ``--trace``/``--protocol``/``--seed``
-flags via common parent parsers, and ``--workers``/``--telemetry-dir``
-are spelled identically wherever they appear — one flag vocabulary
-across the whole CLI.
+flags via common parent parsers, and ``--workers``,
+``--cache-dir``/``--no-cache`` and ``--telemetry-dir`` are spelled
+identically wherever they appear — one flag vocabulary across the
+whole CLI.
 
 Examples::
 
@@ -86,6 +89,21 @@ def _workers_parent() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="simulation worker processes (1 = sequential; parallel "
         "output is bit-identical to sequential)",
+    )
+    return parent
+
+
+def _cache_parent() -> argparse.ArgumentParser:
+    """Shared ``--cache-dir``/``--no-cache`` pair (experiment, scenarios
+    run and sweep)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="per-run result cache directory (default: .repro-cache)",
+    )
+    parent.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the run cache entirely (no reads, no writes)",
     )
     return parent
 
@@ -159,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table/figure",
-        parents=[_workers_parent(), _telemetry_parent()],
+        parents=[_workers_parent(), _cache_parent(), _telemetry_parent()],
     )
     experiment.add_argument(
         "name",
@@ -170,15 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--full", action="store_true", help="full paper grids (slow)"
     )
-    experiment.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="per-run result cache directory "
-        "(default: .repro-cache)",
-    )
-    experiment.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the run cache entirely (no reads, no writes)",
-    )
 
     trace = sub.add_parser(
         "trace", help="generate and inspect a trace",
@@ -187,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default=None, help="save to this path")
 
     sweep = sub.add_parser(
-        "sweep", help="run an archived, resumable adversary sweep",
+        "sweep", help="run an adversary sweep, resumable via the run cache",
         parents=[
             _trace_parent(), _protocol_parent(), _workers_parent(),
-            _telemetry_parent(),
+            _cache_parent(), _telemetry_parent(),
         ],
     )
     sweep.add_argument(
@@ -206,9 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_int_list, default="1,2",
         help="comma-separated seeds",
     )
-    sweep.add_argument("--archive", default="sweep-runs",
-                       help="archive directory")
-    sweep.add_argument("--csv", default=None, help="also export CSV here")
+    sweep.add_argument(
+        "--csv", default=None,
+        help="also write one summary row per (count, seed) run here",
+    )
 
     telemetry = sub.add_parser(
         "telemetry", help="summarize or validate telemetry exports"
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios_run = scenarios_sub.add_parser(
         "run", help="execute a campaign and write its matrix",
-        parents=[_workers_parent(), _telemetry_parent()],
+        parents=[_workers_parent(), _cache_parent(), _telemetry_parent()],
     )
     source = scenarios_run.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -316,14 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios_run.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the campaign matrix JSON here",
-    )
-    scenarios_run.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="per-run result cache directory (default: .repro-cache)",
-    )
-    scenarios_run.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the run cache entirely (no reads, no writes)",
     )
     scenarios_report = scenarios_sub.add_parser(
         "report", help="render a previously written campaign matrix"
@@ -421,6 +423,26 @@ def execution_options(args) -> "ExecutionOptions":
     )
 
 
+def _print_batch_tail(
+    options: "ExecutionOptions", telemetry_dir: Optional[str], name: str
+) -> None:
+    """Print a batch's run report and cache stats, and export its
+    telemetry to ``<telemetry_dir>/<name>.jsonl``."""
+    if options.report is not None and options.report.total:
+        cache_note = ""
+        if options.cache is not None:
+            cache_note = f" [cache: {options.cache.stats.summary()}]"
+        print(f"-- {options.report.summary()}{cache_note}")
+    if options.telemetry is not None and telemetry_dir:
+        path = os.path.join(telemetry_dir, f"{name}.jsonl")
+        written = options.telemetry.write_jsonl(path)
+        skipped = options.telemetry.skipped
+        print(
+            f"telemetry: {written} run records -> {path}"
+            + (f" ({skipped} cache hits without telemetry)" if skipped else "")
+        )
+
+
 def cmd_experiment(args) -> int:
     from .experiments import ablations, fig3, fig4, fig5, fig7, fig8, table1
 
@@ -450,19 +472,7 @@ def cmd_experiment(args) -> int:
         print(ablations.buffer_capacity_sweep(options=options).render())
     else:
         print(table1.run(quick=quick, options=options).render())
-    if options.report is not None and options.report.total:
-        cache_note = ""
-        if options.cache is not None:
-            cache_note = f" [cache: {options.cache.stats.summary()}]"
-        print(f"-- {options.report.summary()}{cache_note}")
-    if options.telemetry is not None and args.telemetry_dir:
-        path = os.path.join(args.telemetry_dir, f"{args.name}.jsonl")
-        written = options.telemetry.write_jsonl(path)
-        skipped = options.telemetry.skipped
-        print(
-            f"telemetry: {written} run records -> {path}"
-            + (f" ({skipped} cache hits without telemetry)" if skipped else "")
-        )
+    _print_batch_tail(options, args.telemetry_dir, args.name)
     return 0
 
 
@@ -482,42 +492,41 @@ def cmd_trace(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .experiments.parallel import ExecutionOptions
-    from .experiments.sweeps import SweepRunner, dropper_grid
-    from .telemetry.export import TelemetryCollector
+    import csv
 
-    sweep_name = f"{args.trace}-{args.protocol}-{args.adversary}"
-    runner = SweepRunner(
-        archive_dir=args.archive,
-        sweep=sweep_name,
-        on_result=lambda spec, results, cached: print(
-            f"  [{'cached' if cached else 'ran   '}] {spec.spec_id}: "
-            f"success {results.success_rate:.1%}, "
-            f"{len(results.detections)} PoMs"
-        ),
+    from .experiments import ReplicationPlan, protocol, run_series
+
+    family, factory = protocol(args.protocol)
+    options = execution_options(args)
+    print(
+        f"sweep {args.trace}-{args.protocol}-{args.adversary}: "
+        f"{len(args.counts) * len(args.seeds)} runs"
     )
-    specs = dropper_grid(
-        args.trace, args.protocol, counts=args.counts, seeds=args.seeds,
-        deviation=args.adversary,
+    points = run_series(
+        args.trace, family, factory, args.counts, args.adversary,
+        plan=ReplicationPlan(seeds=args.seeds), options=options,
+        protocol_name=args.protocol,
     )
-    print(f"sweep {sweep_name}: {len(specs)} runs -> {runner.path_for(specs[0]).parent}")
-    options = ExecutionOptions(workers=max(1, args.workers))
-    outcomes = runner.run_all(specs, options=options)
-    if args.telemetry_dir:
-        collector = TelemetryCollector()
-        for spec in specs:
-            collector.add(outcomes[spec])
-        path = os.path.join(args.telemetry_dir, "sweep.jsonl")
-        written = collector.write_jsonl(path)
-        skipped = collector.skipped
-        print(
-            f"telemetry: {written} run records -> {path}"
-            + (f" ({skipped} archived runs without telemetry)"
-               if skipped else "")
-        )
+    rows = []
+    for count, point in points:
+        for seed, results in zip(args.seeds, point.runs):
+            print(
+                f"  count {count} seed {seed}: "
+                f"success {results.success_rate:.1%}, "
+                f"{len(results.detections)} PoMs"
+            )
+            rows.append({
+                "trace": args.trace, "protocol": args.protocol,
+                "adversary": args.adversary, "count": count, "seed": seed,
+                **results.summary(),
+            })
+    _print_batch_tail(options, args.telemetry_dir, "sweep")
     if args.csv:
-        written = runner.summary_csv(args.csv)
-        print(f"wrote {written} summary rows to {args.csv}")
+        with open(args.csv, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"wrote {len(rows)} summary rows to {args.csv}")
     return 0
 
 

@@ -259,17 +259,6 @@ class StorageProof:
         ))
 
 
-def seed_payload_cache(signed: object, payload: bytes) -> None:
-    """Transfer a computed ``payload()`` onto a just-signed artifact.
-
-    The signature field is excluded from every ``payload()`` encoding,
-    so the payload of the unsigned template is byte-identical to the
-    signed artifact's — signing then costs exactly one encoding, and
-    every later verification is a cache hit.
-    """
-    object.__setattr__(signed, "_payload", payload)
-
-
 #: Nominal wire sizes (bytes) for energy accounting of control traffic.
 CONTROL_MESSAGE_SIZE = 96
 PROOF_SIZE = 64

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Sequence, Set, Tuple
 
 from ..perf.counters import COUNTERS
-from .hashing import digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .provider import CryptoProvider
@@ -208,11 +207,3 @@ class NodeIdentity:
         """Digest identifying this node's public key."""
         return self.certificate.fingerprint
 
-
-def payload_for_receipt(kind: str, parts: bytes) -> bytes:
-    """Canonical encoding helper shared by wire-level receipts.
-
-    Prefixing with a kind tag prevents cross-protocol signature reuse
-    (a signed POR can never be replayed as, say, an FQ_RESP).
-    """
-    return digest(kind.encode() + b"|" + parts)

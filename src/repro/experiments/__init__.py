@@ -5,7 +5,7 @@ with a ``render()`` text form; the benchmark suite under
 ``benchmarks/`` drives these and prints the paper-shaped tables.
 """
 
-from . import ablations, fig3, fig4, fig5, fig7, fig8, sweeps, table1
+from . import ablations, fig3, fig4, fig5, fig7, fig8, table1
 from .cache import CacheStats, RunCache, run_key
 from .catalog import LABELS, PROTOCOLS, protocol
 from .parallel import (
@@ -24,7 +24,6 @@ from .runner import (
     run_point,
     run_series,
 )
-from .sweeps import RunSpec, SweepRunner, dropper_grid
 from .setting import (
     COMMUNITY_PARAMS,
     TRACES,
@@ -64,10 +63,6 @@ __all__ = [
     "run_point",
     "run_requests",
     "run_series",
-    "RunSpec",
     "standard_config",
-    "SweepRunner",
-    "dropper_grid",
-    "sweeps",
     "table1",
 ]

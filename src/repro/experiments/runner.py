@@ -1,12 +1,11 @@
 """Shared run/aggregate plumbing for the experiment modules.
 
 An experiment is a grid of simulation runs; each grid point averages a
-few re-seeded runs.  :func:`run_point` executes one point given a
-protocol factory and an adversary specification, and returns the
-averaged metrics the paper plots (success %, delay, cost, detection
-rate, detection time).  :func:`run_series` executes a whole sweep of
+few re-seeded runs.  :func:`run_series` executes a whole sweep of
 points as one flat batch, so a process pool can overlap runs *across*
-grid points, not just within one.
+grid points, not just within one, and returns per point the averaged
+metrics the paper plots (success %, delay, cost, detection rate,
+detection time).  :func:`run_point` is the one-point series.
 
 Both accept :class:`~repro.experiments.parallel.ExecutionOptions` to
 select worker count and result caching; the default (no options) is
@@ -179,22 +178,11 @@ def run_point(
             identity when omitted.  Factories not in the catalog run
             in-process and uncached regardless of ``options``.
     """
-    if plan is None:
-        plan = ReplicationPlan()
-    if protocol_name is None:
-        protocol_name = protocol_name_for(protocol_factory)
-    requests = _requests_for_point(
-        trace_name, family, protocol_name,
-        deviation, deviation_count, plan, config_overrides,
-    )
-    if protocol_name is None:
-        runs: List[SimulationResults] = [
-            execute_request(request, factory=protocol_factory)
-            for request in requests
-        ]
-    else:
-        runs = run_requests(requests, options)
-    return point_from_runs(runs, [r.misbehaving() for r in requests])
+    return run_series(
+        trace_name, family, protocol_factory, [deviation_count], deviation,
+        plan=plan, config_overrides=config_overrides, options=options,
+        protocol_name=protocol_name,
+    )[0][1]
 
 
 def run_series(
@@ -210,10 +198,9 @@ def run_series(
 ) -> List[Tuple[int, PointResult]]:
     """Run a whole adversary-count sweep as one flat batch.
 
-    Semantically identical to calling :func:`run_point` per count
-    (zero counts run all-honest), but the full (count x seed) matrix
-    is handed to the executor at once, so a pool keeps its workers
-    busy across grid-point boundaries.
+    Zero counts run all-honest.  The full (count x seed) matrix is
+    handed to the executor at once, so a pool keeps its workers busy
+    across grid-point boundaries.
 
     Returns:
         ``(count, PointResult)`` pairs in the order of ``counts``.
@@ -225,7 +212,7 @@ def run_series(
     batches = [
         _requests_for_point(
             trace_name, family, protocol_name,
-            deviation if count else None, count, plan, config_overrides,
+            deviation, count, plan, config_overrides,
         )
         for count in counts
     ]

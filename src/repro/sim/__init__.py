@@ -6,7 +6,7 @@ from .events import Event, EventKind, EventQueue, Scheduler, TimerHandle, TimerO
 from .messages import Message, StoredCopy
 from .node import NodeState
 from .results import DetectionRecord, MessageRecord, SimulationResults
-from .serialize import load_results, results_from_dict, results_to_dict, save_results
+from .serialize import results_from_dict, results_to_dict
 from .traffic import PoissonTraffic, TrafficDemand, demands_to_messages
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "TrafficDemand",
     "config_for",
     "demands_to_messages",
-    "load_results",
     "results_from_dict",
     "results_to_dict",
     "run_simulation",
-    "save_results",
 ]

@@ -1,25 +1,22 @@
-"""JSON archival of simulation results.
+"""JSON form of simulation results.
 
-Long sweeps are expensive; archiving per-run results lets analyses be
-re-cut without re-simulating. The format is stable, versioned, and
-human-greppable: headline metrics plus full per-message and
-per-detection records.
+:func:`results_to_dict` is what the run cache
+(:class:`repro.experiments.cache.RunCache`) stores, so a cached run is
+re-cut without re-simulating, and what :func:`results_digest` hashes.
+The format is stable, versioned, and human-greppable: headline metrics
+plus full per-message and per-detection records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
-from typing import Union
 
 from .messages import Message
 from .results import DetectionRecord, MessageRecord, SimulationResults
 
 #: Format version; bump on breaking layout changes.
 FORMAT_VERSION = 1
-
-PathLike = Union[str, Path]
 
 
 def results_to_dict(results: SimulationResults) -> dict:
@@ -139,15 +136,3 @@ def results_from_dict(data: dict) -> SimulationResults:
         int(k): v for k, v in data["deviation_counts"].items()
     }
     return results
-
-
-def save_results(results: SimulationResults, path: PathLike) -> None:
-    """Write results as JSON."""
-    Path(path).write_text(
-        json.dumps(results_to_dict(results), indent=1, sort_keys=True)
-    )
-
-
-def load_results(path: PathLike) -> SimulationResults:
-    """Read results written by :func:`save_results`."""
-    return results_from_dict(json.loads(Path(path).read_text()))

@@ -135,37 +135,93 @@ class TestCommands:
 
 
 class TestSweepCommand:
-    def test_sweep_runs_and_resumes(self, capsys, tmp_path):
-        args = [
+    @staticmethod
+    def sweep_args(*extra):
+        return [
             "sweep",
             "--trace", "infocom05",
             "--protocol", "epidemic",
-            "--counts", "0",
+            "--counts", "0,2",
             "--seeds", "1",
-            "--archive", str(tmp_path),
+            *extra,
         ]
+
+    def test_sweep_runs_and_resumes(self, capsys, tmp_path):
+        args = self.sweep_args("--cache-dir", str(tmp_path))
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "[ran   ]" in first
+        assert "-- 2 runs: 2 simulated, 0 cache hits" in first
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "[cached]" in second
+        assert "-- 2 runs: 0 simulated, 2 cache hits" in second
+        assert first.splitlines()[:3] == second.splitlines()[:3]
+
+    def test_no_cache_resimulates(self, capsys, tmp_path):
+        assert main(self.sweep_args("--cache-dir", str(tmp_path))) == 0
+        entries = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(
+            self.sweep_args("--cache-dir", str(tmp_path), "--no-cache")
+        ) == 0
+        out = capsys.readouterr().out
+        assert "-- 2 runs: 2 simulated, 0 cache hits" in out
+        assert "[cache:" not in out
+        assert sorted(tmp_path.iterdir()) == entries
 
     def test_sweep_csv_export(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(
-            [
-                "sweep",
-                "--trace", "infocom05",
-                "--protocol", "epidemic",
-                "--counts", "0",
-                "--seeds", "1",
-                "--archive", str(tmp_path),
-                "--csv", str(out),
-            ]
+            self.sweep_args(
+                "--cache-dir", str(tmp_path / "cache"), "--csv", str(out)
+            )
         )
         assert code == 0
-        assert out.exists()
+        assert "wrote 2 summary rows" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "trace,protocol,adversary,count,seed,generated,delivered,"
+            "success_rate,mean_delay,median_delay,cost,detections,"
+            "total_energy"
+        )
+        assert [line.split(",")[:5] for line in lines[1:]] == [
+            ["infocom05", "epidemic", "dropper", "0", "1"],
+            ["infocom05", "epidemic", "dropper", "2", "1"],
+        ]
+
+    def test_sweep_runs_are_api_sweep_runs(self, capsys, tmp_path):
+        from repro import api
+        from repro.experiments import RunReport
+        from repro.sim.serialize import results_digest
+
+        cache_dir = str(tmp_path / "cache")
+        argv = [
+            "sweep", "--trace", "infocom05", "--protocol", "g2g_epidemic",
+            "--adversary", "dropper", "--counts", "0,3", "--seeds", "1,2",
+            "--cache-dir", cache_dir,
+        ]
+        assert main(argv) == 0
+
+        def sweep(cache_dir, report=None):
+            return api.sweep(
+                "infocom05", "g2g_epidemic", (0, 3), adversary="dropper",
+                seeds=(1, 2), cache_dir=cache_dir, report=report,
+            )
+
+        def digests(points):
+            return [
+                results_digest(run) for _, point in points
+                for run in point.runs
+            ]
+
+        report = RunReport()
+        from_cli = sweep(cache_dir, report)
+        assert (report.cached, report.executed) == (4, 0)
+        # Compare hit with hit: a hit re-sums the energy ledger in the
+        # cache file's key order, so it need not match a fresh run's
+        # last bit.
+        api_dir = str(tmp_path / "api-cache")
+        sweep(api_dir)
+        assert digests(from_cli) == digests(sweep(api_dir))
 
 
 class TestTelemetryCLI:
@@ -231,7 +287,6 @@ class TestTelemetryCLI:
         assert "problems" in capsys.readouterr().out
 
     def test_sweep_parallel_with_telemetry(self, capsys, tmp_path):
-        archive = tmp_path / "archive"
         telemetry = tmp_path / "telemetry"
         code = main(
             [
@@ -240,14 +295,15 @@ class TestTelemetryCLI:
                 "--protocol", "epidemic",
                 "--counts", "0",
                 "--seeds", "1,2",
-                "--archive", str(archive),
+                "--no-cache",
                 "--workers", "2",
                 "--telemetry-dir", str(telemetry),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count("[ran   ]") == 2
+        assert "-- 2 runs: 2 simulated, 0 cache hits" in out
+        assert f"telemetry: 2 run records -> {telemetry}" in out
         records = read_jsonl(str(telemetry / "sweep.jsonl"))
         assert len(records) == 2
         assert all(validate_record(r) == [] for r in records)

@@ -308,7 +308,12 @@ class TestCliWiring:
 
         collision = tmp_path / "not-a-dir"
         collision.write_text("occupied")
-        with pytest.raises(SystemExit, match="unusable cache directory"):
-            execution_options(
-                self.parse("experiment", "fig3", "--cache-dir", str(collision))
-            )
+        for command in (
+            ("experiment", "fig3"),
+            ("scenarios", "run", "--preset", "help"),
+            ("sweep",),
+        ):
+            with pytest.raises(SystemExit, match="unusable cache directory"):
+                execution_options(
+                    self.parse(*command, "--cache-dir", str(collision))
+                )

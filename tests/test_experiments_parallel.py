@@ -13,6 +13,7 @@ sets 2 to keep runners light).
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.experiments import (
     run_requests,
     run_series,
 )
-from repro.sim.serialize import results_to_dict
+from repro.sim.serialize import results_digest, results_to_dict
 
 #: Short, light runs: a quarter of the evaluation window, sparse
 #: traffic, cheap storage challenges, and a TTL that expires in-run so
@@ -62,14 +63,14 @@ def assert_points_identical(a, b):
         assert results_to_dict(run_a) == results_to_dict(run_b)
 
 
-def g2g_point(options=None):
+def g2g_point(options=None, plan=PLAN):
     return run_point(
         "infocom05",
         "epidemic",
         PROTOCOLS["g2g_epidemic"][1],
         deviation="dropper",
         deviation_count=5,
-        plan=PLAN,
+        plan=plan,
         config_overrides=TINY,
         options=options,
     )
@@ -168,6 +169,32 @@ class TestWarmCache:
         assert report.cached == len(PLAN.seeds)
         assert report.total == 2 * len(PLAN.seeds)
         assert "cache hits" in report.summary()
+
+    def test_pooled_point_reuses_a_warm_seed(self, tmp_path):
+        sequential = RunCache(tmp_path / "sequential")
+        g2g_point(ExecutionOptions(cache=sequential))
+        pooled = RunCache(tmp_path / "pooled")
+        g2g_point(
+            ExecutionOptions(cache=pooled),
+            plan=ReplicationPlan(seeds=PLAN.seeds[:1]),
+        )
+        report = RunReport()
+        g2g_point(
+            ExecutionOptions(
+                workers=WORKER_COUNTS[0], cache=pooled, report=report
+            )
+        )
+        assert report.cached == 1
+        assert report.executed == len(PLAN.seeds) - 1
+
+        def stored_digests(cache):
+            return {
+                path.stem: results_digest(cache.get(path.stem))
+                for path in Path(cache.cache_dir).glob("*.json")
+            }
+
+        assert stored_digests(pooled) == stored_digests(sequential)
+        assert len(stored_digests(pooled)) == len(PLAN.seeds)
 
 
 def bad_request(seed=1):

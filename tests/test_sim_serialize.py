@@ -1,4 +1,4 @@
-"""Tests for results archival (JSON round-trip)."""
+"""Tests for the results JSON form and its run-cache file round trip."""
 
 import json
 
@@ -6,13 +6,12 @@ import pytest
 
 from repro.adversaries import Dropper
 from repro.core import G2GEpidemicForwarding
+from repro.experiments import RunCache
 from repro.sim import Simulation, SimulationConfig
 from repro.sim.serialize import (
     FORMAT_VERSION,
-    load_results,
     results_from_dict,
     results_to_dict,
-    save_results,
 )
 
 
@@ -71,9 +70,9 @@ class TestRoundTrip:
         assert again.heavy_hmac_runs == run_results.heavy_hmac_runs
 
     def test_file_round_trip(self, run_results, tmp_path):
-        path = tmp_path / "run.json"
-        save_results(run_results, path)
-        again = load_results(path)
+        cache = RunCache(tmp_path)
+        cache.put("run", run_results)
+        again = cache.get("run")
         for key, value in run_results.summary().items():
             # JSON round-trips each float exactly, but aggregate sums
             # re-accumulate in sorted-key order; allow ulp-level slack.
@@ -81,10 +80,11 @@ class TestRoundTrip:
         assert again.protocol == run_results.protocol
 
     def test_json_is_valid_and_versioned(self, run_results, tmp_path):
-        path = tmp_path / "run.json"
-        save_results(run_results, path)
-        data = json.loads(path.read_text())
+        cache = RunCache(tmp_path)
+        cache.put("run", run_results)
+        data = json.loads(cache.path_for("run").read_text())
         assert data["format_version"] == FORMAT_VERSION
+        assert data.keys() == results_to_dict(run_results).keys()
 
     def test_unknown_version_rejected(self, run_results):
         data = results_to_dict(run_results)
