@@ -8,9 +8,13 @@ keyword-driven surface that accepts names where the paper setting has
 one (trace names, catalog protocol names, adversary kinds) and objects
 where callers built their own.
 
-``sweep`` runs through :func:`repro.experiments.parallel.execute_request`,
-the one path every catalog :class:`~repro.experiments.RunRequest` takes;
-``run`` expands adversaries, churn and energy budgets with the same
+``sweep`` names its protocol by catalog name — the only way an
+experiment says which protocol it runs — and runs through
+:func:`repro.experiments.parallel.execute_request`, the one path every
+:class:`~repro.experiments.RunRequest` takes, pooled and cached.
+Protocol variants such as the ``testers`` audit mode are config
+overrides, not constructor arguments.  ``run`` expands adversaries,
+churn and energy budgets with the same
 :func:`~repro.experiments.parallel.expand_population`, and builds its
 own :class:`Simulation` only because it also takes caller-built objects
 (a trace, a protocol instance, a blacklist) that a request cannot describe.
@@ -277,7 +281,6 @@ def sweep(
     Returns:
         ``(count, PointResult)`` pairs in the order of ``counts``.
     """
-    family, factory = catalog_protocol(protocol)
     collector, export_path = _resolve_telemetry(telemetry, "sweep.jsonl")
     options = ExecutionOptions(
         workers=workers,
@@ -287,14 +290,12 @@ def sweep(
     )
     points = run_series(
         trace,
-        family,
-        factory,
+        protocol,
         counts,
         adversary,
         plan=ReplicationPlan(seeds=tuple(seeds)),
         config_overrides=dict(config_overrides) if config_overrides else None,
         options=options,
-        protocol_name=protocol,
     )
     if collector is not None and export_path is not None:
         collector.write_jsonl(export_path)

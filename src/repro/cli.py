@@ -494,18 +494,16 @@ def cmd_trace(args) -> int:
 def cmd_sweep(args) -> int:
     import csv
 
-    from .experiments import ReplicationPlan, protocol, run_series
+    from .experiments import ReplicationPlan, run_series
 
-    family, factory = protocol(args.protocol)
     options = execution_options(args)
     print(
         f"sweep {args.trace}-{args.protocol}-{args.adversary}: "
         f"{len(args.counts) * len(args.seeds)} runs"
     )
     points = run_series(
-        args.trace, family, factory, args.counts, args.adversary,
+        args.trace, args.protocol, args.counts, args.adversary,
         plan=ReplicationPlan(seeds=args.seeds), options=options,
-        protocol_name=args.protocol,
     )
     rows = []
     for count, point in points:

@@ -181,31 +181,19 @@ class Give2GetBase(ForwardingProtocol):
             :data:`repro.crypto.tiers.PROVIDER_TIERS` (``"real"`` /
             ``"simulated"``), or None for the fast simulated default.  Named tiers are constructed at
             :meth:`bind` time over the run's seeded ``ctx.rng``.
-        testers: who initiates test phases.  ``"source"`` (default) is
-            the paper's protocol — only the message source audits its
-            direct relays, which is what makes testing incentive-
-            compatible.  ``"any_giver"`` has every relay audit its own
-            takers too; it is NOT a Nash equilibrium (relays gain
-            nothing from spending energy on tests) and exists purely
-            as an ablation of detection speed vs audit effort.
+
+    Who initiates test phases is the run's ``config.testers`` (see
+    :class:`~repro.sim.config.SimulationConfig`), read at :meth:`bind`.
     """
 
     family = "epidemic"
 
-    TESTER_MODES = ("source", "any_giver")
-
     def __init__(
         self,
         provider: Union[None, str, CryptoProvider] = None,
-        testers: str = "source",
     ) -> None:
         super().__init__()
-        if testers not in self.TESTER_MODES:
-            raise ValueError(
-                f"testers must be one of {self.TESTER_MODES}, got {testers!r}"
-            )
         self._provider = provider
-        self.testers = testers
 
     def use_provider(self, provider: Union[str, CryptoProvider]) -> None:
         """Select the crypto provider before the run binds the protocol.
@@ -274,6 +262,7 @@ class Give2GetBase(ForwardingProtocol):
         energy = config.energy
         self._delta2 = config.delta2
         self._relay_fanout = config.relay_fanout
+        self._testers = config.testers
         self._source_fanout = (
             float("inf") if config.source_fanout is None
             else config.source_fanout
@@ -587,7 +576,7 @@ class Give2GetBase(ForwardingProtocol):
             # (it is never tested and wants it delivered).
             giver.drop_body(msg_id, now, results)
         record = self._sources[giver_id].get(msg_id)
-        if record is None and self.testers == "any_giver":
+        if record is None and self._testers == "any_giver":
             # Ablation mode: intermediate relays also keep audit
             # records for the messages they hand out.
             record = _SourceRecord(message=message, is_source=False)

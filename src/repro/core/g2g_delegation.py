@@ -58,9 +58,8 @@ class G2GDelegationForwarding(Give2GetBase):
         self,
         variant: str = "last_contact",
         provider: Optional[CryptoProvider] = None,
-        testers: str = "source",
     ) -> None:
-        super().__init__(provider=provider, testers=testers)
+        super().__init__(provider=provider)
         self.variant = variant
         self.name = f"g2g_delegation_{variant}"
         self.tracker: Optional[QualityTracker] = None
@@ -193,7 +192,7 @@ class G2GDelegationForwarding(Give2GetBase):
         # the cheater check; under ``testers="any_giver"`` every giver
         # gets a record at hand-off.
         declaration: Optional[QualityDeclaration] = None
-        if record is not None or self.testers == "any_giver":
+        if record is not None or self._testers == "any_giver":
             declaration = make_quality_declaration(
                 self.identities[taker_id],
                 quality_subject,

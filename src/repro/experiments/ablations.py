@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .catalog import protocol
 from .parallel import ExecutionOptions
 from .runner import FigureData, ReplicationPlan, Series, run_point
 
@@ -34,14 +33,12 @@ def fanout_sweep(
     """Success % and cost of G2G Epidemic as the relay cap varies."""
     if plan is None:
         plan = ReplicationPlan.make(quick=True)
-    family, factory = protocol("g2g_epidemic")
     success = Series(label="Delivery %")
     cost = Series(label="Cost (replicas)")
     for cap in caps:
         point = run_point(
             trace_name,
-            family,
-            factory,
+            "g2g_epidemic",
             plan=plan,
             config_overrides={"relay_fanout": cap},
             options=options,
@@ -71,13 +68,11 @@ def delta2_sweep(
     """
     if plan is None:
         plan = ReplicationPlan.make(quick=True)
-    family, factory = protocol("g2g_epidemic")
     series = Series(label="Detection rate %")
     for factor in factors:
         point = run_point(
             trace_name,
-            family,
-            factory,
+            "g2g_epidemic",
             deviation="dropper",
             deviation_count=droppers,
             plan=plan,
@@ -109,13 +104,11 @@ def timeframe_sweep(
     """
     if plan is None:
         plan = ReplicationPlan.make(quick=True)
-    family, factory = protocol("g2g_delegation_last_contact")
     series = Series(label="Detection rate %")
     for timeframe in timeframes:
         point = run_point(
             trace_name,
-            family,
-            factory,
+            "g2g_delegation_last_contact",
             deviation="liar",
             deviation_count=liars,
             plan=plan,
@@ -148,14 +141,12 @@ def buffer_capacity_sweep(
     """
     if plan is None:
         plan = ReplicationPlan.make(quick=True)
-    family, factory = protocol("g2g_epidemic")
     delivery = Series(label="Delivery %")
     false_convictions = Series(label="Honest nodes convicted")
     for capacity in capacities:
         point = run_point(
             trace_name,
-            family,
-            factory,
+            "g2g_epidemic",
             plan=plan,
             config_overrides={"buffer_capacity": capacity},
             options=options,
@@ -195,19 +186,17 @@ def testers_comparison(
     label would let it frame an honest taker, one more reason the
     paper keeps tests at the source.
     """
-    from ..core.g2g_epidemic import G2GEpidemicForwarding
-
     if plan is None:
         plan = ReplicationPlan.make(quick=True)
     out: Dict[str, float] = {}
     for mode in ("source", "any_giver"):
         point = run_point(
             trace_name,
-            "epidemic",
-            lambda mode=mode: G2GEpidemicForwarding(testers=mode),
+            "g2g_epidemic",
             deviation="dropper",
             deviation_count=droppers,
             plan=plan,
+            config_overrides={"testers": mode},
             options=options,
         )
         out[f"{mode}_detection_rate"] = point.detection_rate
@@ -235,13 +224,11 @@ def blacklist_comparison(
     """
     if plan is None:
         plan = ReplicationPlan.make(quick=True)
-    family, factory = protocol("g2g_epidemic")
     out: Dict[str, float] = {}
     for label, instant in (("instant", True), ("gossip", False)):
         point = run_point(
             trace_name,
-            family,
-            factory,
+            "g2g_epidemic",
             deviation="dropper",
             deviation_count=droppers,
             plan=plan,

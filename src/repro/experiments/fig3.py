@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .catalog import protocol
 from .parallel import ExecutionOptions
 from .runner import FigureData, ReplicationPlan, Series, run_series
 from .setting import TRACES, adversary_counts
@@ -32,7 +31,6 @@ def run(
     """Reproduce Fig. 3; one :class:`FigureData` per trace."""
     if plan is None:
         plan = ReplicationPlan.make(quick)
-    family, factory = protocol("epidemic")
     figures: Dict[str, FigureData] = {}
     for trace_name in TRACES:
         figure = FigureData(
@@ -45,8 +43,7 @@ def run(
             series = Series(label=VARIANT_LABELS[variant])
             for count, point in run_series(
                 trace_name,
-                family,
-                factory,
+                "epidemic",
                 adversary_counts(trace_name, quick),
                 deviation=variant,
                 plan=plan,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .catalog import protocol
 from .parallel import ExecutionOptions
 from .runner import FigureData, ReplicationPlan, Series, run_series
 from .setting import TRACES, adversary_counts
@@ -41,7 +40,6 @@ def run(
     """Reproduce Fig. 4; one :class:`DetectionFigure` per trace."""
     if plan is None:
         plan = ReplicationPlan.make(quick)
-    family, factory = protocol("g2g_epidemic")
     out: Dict[str, DetectionFigure] = {}
     for trace_name in TRACES:
         figure = FigureData(
@@ -60,8 +58,7 @@ def run(
             series = Series(label=VARIANT_LABELS[variant])
             for count, point in run_series(
                 trace_name,
-                family,
-                factory,
+                "g2g_epidemic",
                 counts,
                 deviation=variant,
                 plan=plan,

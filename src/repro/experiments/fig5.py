@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .catalog import protocol
 from .parallel import ExecutionOptions
 from .runner import FigureData, ReplicationPlan, Series, run_series
 from .setting import TRACES, adversary_counts
@@ -38,7 +37,6 @@ def run(
     """Reproduce Fig. 5; keyed by ``(panel, trace)``."""
     if plan is None:
         plan = ReplicationPlan.make(quick)
-    family, factory = protocol("delegation_last_contact")
     figures: Dict[Tuple[str, str], FigureData] = {}
     for panel, (kinds, x_label) in PANELS.items():
         for trace_name in TRACES:
@@ -55,8 +53,7 @@ def run(
                 series = Series(label=LABELS[kind])
                 for count, point in run_series(
                     trace_name,
-                    family,
-                    factory,
+                    "delegation_last_contact",
                     adversary_counts(trace_name, quick),
                     deviation=kind,
                     plan=plan,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .catalog import protocol
 from .parallel import ExecutionOptions
 from .runner import FigureData, ReplicationPlan, Series, run_series
 from .setting import TRACES, adversary_counts
@@ -27,7 +26,6 @@ def run(
     """Reproduce Fig. 7; one :class:`FigureData` per trace."""
     if plan is None:
         plan = ReplicationPlan.make(quick)
-    family, factory = protocol("g2g_delegation_last_contact")
     kinds = ADVERSARY_KINDS if not quick else (
         "dropper",
         "liar",
@@ -49,8 +47,7 @@ def run(
             series = Series(label=ROW_LABELS[kind])
             for count, point in run_series(
                 trace_name,
-                family,
-                factory,
+                "g2g_delegation_last_contact",
                 counts,
                 deviation=kind,
                 plan=plan,

@@ -106,10 +106,9 @@ def run(
     panels: Dict[str, Fig8Panel] = {}
     for trace_name in TRACES:
         panel = Fig8Panel(trace=trace_name)
-        for name, (family, factory) in PROTOCOLS.items():
+        for name in PROTOCOLS:
             point: PointResult = run_point(
-                trace_name, family, factory, plan=plan,
-                options=options, protocol_name=name,
+                trace_name, name, plan=plan, options=options
             )
             panel.points.append(
                 ProtocolPoint(

@@ -60,8 +60,7 @@ class RunRequest:
         family: TTL family, "epidemic" or "delegation".
         protocol_name: a :data:`repro.experiments.catalog.PROTOCOLS`
             name — the worker rebuilds the factory from it, and the
-            cache keys on it.  None marks an ad-hoc factory that can
-            only run in-process (and uncached).
+            cache keys on it.
         seed: replication seed (traffic, crypto, adversary placement).
         deviation: adversary kind, or None for all-honest.
         deviation_count: how many nodes deviate.
@@ -93,7 +92,7 @@ class RunRequest:
 
     trace_name: str
     family: str
-    protocol_name: Optional[str]
+    protocol_name: str
     seed: int
     deviation: Optional[str] = None
     deviation_count: int = 0
@@ -130,10 +129,8 @@ class RunRequest:
             "energy_budget": list(self.energy_budget),
         }
 
-    def cache_key(self) -> Optional[str]:
-        """Content hash for the run cache (None for ad-hoc factories)."""
-        if self.protocol_name is None:
-            return None
+    def cache_key(self) -> str:
+        """Content hash for the run cache."""
         return run_key(
             trace_name=self.trace_name,
             family=self.family,
@@ -237,17 +234,11 @@ def expand_population(
     return Population(strategies, roles, schedule, budgets)
 
 
-def execute_request(
-    request: RunRequest,
-    factory: Optional[Callable[[], object]] = None,
-) -> SimulationResults:
+def execute_request(request: RunRequest) -> SimulationResults:
     """Run one request to completion (the worker-side entry point).
 
-    Args:
-        request: the run description.
-        factory: explicit protocol factory for ad-hoc requests; by
-            default the factory is resolved from the catalog by
-            ``request.protocol_name``.
+    The protocol factory is resolved from the catalog by
+    ``request.protocol_name``, so an unknown name fails in the worker.
     """
     if not isinstance(request, RunRequest):
         raise TypeError(
@@ -255,12 +246,7 @@ def execute_request(
             f" {type(request).__name__} — build one with"
             f" RunRequest(trace_name=..., family=..., protocol_name=...)"
         )
-    if factory is None:
-        if request.protocol_name is None:
-            raise ValueError(
-                "ad-hoc RunRequest needs an explicit protocol factory"
-            )
-        _, factory = protocol(request.protocol_name)
+    _, factory = protocol(request.protocol_name)
     if request.mix and request.deviation is not None:
         raise ValueError(
             "a RunRequest carries either a single deviation or a mix,"
@@ -376,13 +362,13 @@ def run_requests(
     started = time.perf_counter()  # g2g: allow(G2G002: wall time feeds the run report only, never results)
     total = len(requests)
     results: List[Optional[SimulationResults]] = [None] * total
-    keys: List[Optional[str]] = [r.cache_key() for r in requests]
+    keys = [r.cache_key() for r in requests]
     pending: List[int] = []
     done = 0
     cached = 0
     for i, request in enumerate(requests):
         hit = None
-        if options.cache is not None and keys[i] is not None:
+        if options.cache is not None:
             hit = options.cache.get(keys[i])
         if hit is not None:
             results[i] = hit
@@ -395,7 +381,7 @@ def run_requests(
     def store(i: int, result: SimulationResults) -> None:
         nonlocal done
         results[i] = result
-        if options.cache is not None and keys[i] is not None:
+        if options.cache is not None:
             options.cache.put(keys[i], result)
         done += 1
         options._tick(done, total, False)

@@ -15,23 +15,15 @@ the sequential, uncached path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sim.results import SimulationResults
 from ..telemetry.run import merge_run_snapshots
-from .catalog import PROTOCOLS
-from .parallel import (
-    ExecutionOptions,
-    RunRequest,
-    execute_request,
-    run_requests,
-)
+from .catalog import protocol
+from .parallel import ExecutionOptions, RunRequest, run_requests
 from .setting import ReplicationPlan
-
-#: A protocol factory: builds a *fresh* protocol instance per run.
-ProtocolFactory = Callable[[], object]
 
 
 @dataclass
@@ -61,19 +53,6 @@ class PointResult:
     def success_percent(self) -> float:
         """Success rate in percent (the paper's y-axis)."""
         return 100.0 * self.success_rate
-
-
-def protocol_name_for(protocol_factory: ProtocolFactory) -> Optional[str]:
-    """Reverse-lookup a factory's catalog name (None for ad-hoc ones).
-
-    The catalog stores one factory object per protocol, so identity
-    comparison is exact; a name is what lets a run ship to a worker
-    process and key the result cache.
-    """
-    for name, (_, factory) in PROTOCOLS.items():
-        if factory is protocol_factory:
-            return name
-    return None
 
 
 def point_from_runs(
@@ -129,7 +108,7 @@ def point_from_runs(
 def _requests_for_point(
     trace_name: str,
     family: str,
-    protocol_name: Optional[str],
+    protocol_name: str,
     deviation: Optional[str],
     deviation_count: int,
     plan: ReplicationPlan,
@@ -152,21 +131,19 @@ def _requests_for_point(
 
 def run_point(
     trace_name: str,
-    family: str,
-    protocol_factory: ProtocolFactory,
+    protocol_name: str,
     deviation: Optional[str] = None,
     deviation_count: int = 0,
     plan: Optional[ReplicationPlan] = None,
     config_overrides: Optional[Dict[str, object]] = None,
     options: Optional[ExecutionOptions] = None,
-    protocol_name: Optional[str] = None,
 ) -> PointResult:
     """Run one grid point and average the replications.
 
     Args:
         trace_name: "infocom05" or "cambridge06".
-        family: "epidemic" or "delegation" (selects the paper TTL).
-        protocol_factory: builds a fresh protocol per run.
+        protocol_name: a :data:`repro.experiments.catalog.PROTOCOLS`
+            name; its family selects the paper TTL.
         deviation: adversary kind (see
             :mod:`repro.adversaries.factory`), or None for all-honest.
         deviation_count: how many nodes deviate.
@@ -174,27 +151,24 @@ def run_point(
         config_overrides: optional :class:`SimulationConfig` overrides.
         options: worker count and cache; defaults to sequential and
             uncached.
-        protocol_name: catalog name of the factory; resolved by
-            identity when omitted.  Factories not in the catalog run
-            in-process and uncached regardless of ``options``.
+
+    Raises:
+        KeyError: for an unknown protocol name, before any run starts.
     """
     return run_series(
-        trace_name, family, protocol_factory, [deviation_count], deviation,
+        trace_name, protocol_name, [deviation_count], deviation,
         plan=plan, config_overrides=config_overrides, options=options,
-        protocol_name=protocol_name,
     )[0][1]
 
 
 def run_series(
     trace_name: str,
-    family: str,
-    protocol_factory: ProtocolFactory,
+    protocol_name: str,
     counts: Sequence[int],
     deviation: Optional[str],
     plan: Optional[ReplicationPlan] = None,
     config_overrides: Optional[Dict[str, object]] = None,
     options: Optional[ExecutionOptions] = None,
-    protocol_name: Optional[str] = None,
 ) -> List[Tuple[int, PointResult]]:
     """Run a whole adversary-count sweep as one flat batch.
 
@@ -204,11 +178,13 @@ def run_series(
 
     Returns:
         ``(count, PointResult)`` pairs in the order of ``counts``.
+
+    Raises:
+        KeyError: for an unknown protocol name, before any run starts.
     """
+    family, _ = protocol(protocol_name)
     if plan is None:
         plan = ReplicationPlan()
-    if protocol_name is None:
-        protocol_name = protocol_name_for(protocol_factory)
     batches = [
         _requests_for_point(
             trace_name, family, protocol_name,
@@ -216,14 +192,9 @@ def run_series(
         )
         for count in counts
     ]
-    flat = [request for batch in batches for request in batch]
-    if protocol_name is None:
-        results = [
-            execute_request(request, factory=protocol_factory)
-            for request in flat
-        ]
-    else:
-        results = run_requests(flat, options)
+    results = run_requests(
+        [request for batch in batches for request in batch], options
+    )
     points: List[Tuple[int, PointResult]] = []
     offset = 0
     for count, batch in zip(counts, batches):

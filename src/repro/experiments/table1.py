@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .catalog import protocol
 from .parallel import ExecutionOptions
 from .runner import ReplicationPlan, run_point
 from .setting import TRACES, evaluation_trace
@@ -127,15 +126,13 @@ def run(
     """Reproduce Table I."""
     if plan is None:
         plan = ReplicationPlan.make(quick)
-    family, factory = protocol("g2g_delegation_last_contact")
     table = Table1()
     for trace_name in TRACES:
         count = min(adversary_count, evaluation_trace(trace_name).num_nodes - 2)
         for kind in ADVERSARY_KINDS:
             point = run_point(
                 trace_name,
-                family,
-                factory,
+                "g2g_delegation_last_contact",
                 deviation=kind,
                 deviation_count=count,
                 plan=plan,

@@ -63,6 +63,25 @@ def _validate_energy_budget(budget: Tuple[Any, ...]) -> None:
         )
 
 
+def _validate_churn(
+    cohorts: Sequence[Tuple[float, float, Optional[float]]],
+) -> None:
+    for fraction, leave_time, rejoin_time in cohorts:
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(
+                f"churn fraction must lie in [0, 1], got {fraction}"
+            )
+        if leave_time < 0:
+            raise ValueError(
+                f"churn leave time must be non-negative, got {leave_time}"
+            )
+        if rejoin_time is not None and rejoin_time <= leave_time:
+            raise ValueError(
+                f"churn rejoin time must come after the leave time,"
+                f" got rejoin {rejoin_time} <= leave {leave_time}"
+            )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One evaluation condition of a campaign.
@@ -110,18 +129,7 @@ class ScenarioSpec:
         # node count only scales the quotas, so any positive n works
         # as a validation probe.
         mix_counts(100, dict(self.mix))
-        for cohort in self.churn:
-            fraction, leave_time, rejoin_time = cohort
-            if not 0.0 <= fraction <= 1.0:
-                raise ValueError(
-                    f"churn fraction must lie in [0, 1], got {fraction}"
-                )
-            if leave_time < 0:
-                raise ValueError("churn leave time must be non-negative")
-            if rejoin_time is not None and rejoin_time <= leave_time:
-                raise ValueError(
-                    "churn rejoin time must come after the leave time"
-                )
+        _validate_churn(self.churn)
         _validate_energy_budget(self.energy_budget)
 
     @property
@@ -221,6 +229,7 @@ def churn_events_for(
     order, each through the same seed-keyed stream — the node-level
     schedule is a pure function of ``(nodes, cohorts, seed)``.
     """
+    _validate_churn(cohorts)
     pool = sorted(nodes)
     total = len(pool)
     rng = random.Random(f"{seed}|scenario|churn")

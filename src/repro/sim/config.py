@@ -17,6 +17,9 @@ DEFAULT_SILENT_TAIL = 3600.0
 DEFAULT_MEAN_INTERARRIVAL = 4.0
 DEFAULT_DELTA2_FACTOR = 2.0
 
+#: Who initiates G2G test phases (the ``testers`` config field).
+TESTER_MODES = ("source", "any_giver")
+
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -81,6 +84,13 @@ class SimulationConfig:
             propagation rounds that push every published PoM to every
             node — out-of-band broadcast with bounded staleness.  None
             (default) keeps dissemination purely contact-driven.
+        testers: who initiates G2G test phases.  ``"source"`` (default)
+            is the paper's protocol — only the message source audits
+            its direct relays, which is what makes testing incentive-
+            compatible.  ``"any_giver"`` has every relay audit its own
+            takers too; it is NOT a Nash equilibrium (relays gain
+            nothing from spending energy on tests) and exists purely
+            as an ablation of detection speed vs audit effort.
         energy: the cost model.
         heavy_hmac_iterations: chain length of the storage challenge.
         track_memory: record per-node memory usage over time (slight
@@ -103,6 +113,7 @@ class SimulationConfig:
     message_size: int = 1024
     instant_blacklist: bool = True
     blacklist_round_interval: Optional[float] = None
+    testers: str = "source"
     energy: EnergyModel = field(default_factory=EnergyModel)
     heavy_hmac_iterations: int = 64
     track_memory: bool = True
@@ -131,6 +142,10 @@ class SimulationConfig:
         ):
             raise ValueError(
                 "blacklist_round_interval must be positive (or None)"
+            )
+        if self.testers not in TESTER_MODES:
+            raise ValueError(
+                f"testers must be one of {TESTER_MODES}, got {self.testers!r}"
             )
 
     @property

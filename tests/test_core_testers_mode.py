@@ -1,5 +1,7 @@
 """Tests for the source-only vs any-giver auditing modes."""
 
+import re
+
 import pytest
 
 from repro.adversaries import Dropper
@@ -20,8 +22,10 @@ def config(**overrides):
 
 def harness(testers, strategies=None):
     trace = ContactTrace(name="manual", nodes=tuple(range(6)), contacts=())
-    protocol = G2GEpidemicForwarding(testers=testers)
-    sim = Simulation(trace, protocol, config(), strategies=strategies)
+    protocol = G2GEpidemicForwarding()
+    sim = Simulation(
+        trace, protocol, config(testers=testers), strategies=strategies
+    )
     ctx = sim._build_context()
     protocol.bind(ctx)
     return protocol, ctx
@@ -39,14 +43,13 @@ def inject(protocol, ctx, source, destination, created, msg_id=0):
 
 class TestModeValidation:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            G2GEpidemicForwarding(testers="everyone")
-        with pytest.raises(ValueError):
-            G2GDelegationForwarding(testers="everyone")
+        with pytest.raises(
+            ValueError, match=re.escape("('source', 'any_giver')")
+        ):
+            SimulationConfig(testers="everyone")
 
     def test_default_is_source(self):
-        assert G2GEpidemicForwarding().testers == "source"
-        assert G2GDelegationForwarding().testers == "source"
+        assert SimulationConfig().testers == "source"
 
 
 class TestSourceOnly:
@@ -83,9 +86,11 @@ class TestAnyGiver:
     def test_delegation_source_duties_stay_at_source(self):
         """Intermediate relays must not embed failed declarations."""
         trace = ContactTrace(name="m", nodes=tuple(range(8)), contacts=())
-        protocol = G2GDelegationForwarding(testers="any_giver")
+        protocol = G2GDelegationForwarding()
         sim = Simulation(
-            trace, protocol, config(ttl=400.0, quality_timeframe=100.0)
+            trace,
+            protocol,
+            config(ttl=400.0, quality_timeframe=100.0, testers="any_giver"),
         )
         ctx = sim._build_context()
         protocol.bind(ctx)

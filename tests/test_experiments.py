@@ -76,7 +76,6 @@ class TestRunPoint:
         return run_point(
             "infocom05",
             "epidemic",
-            PROTOCOLS["epidemic"][1],
             plan=ReplicationPlan(seeds=(1,)),
         )
 
@@ -94,7 +93,6 @@ class TestRunPoint:
         point = run_point(
             "infocom05",
             "epidemic",
-            PROTOCOLS["epidemic"][1],
             deviation="dropper",
             deviation_count=10,
             plan=ReplicationPlan(seeds=(1,)),
@@ -106,7 +104,6 @@ class TestRunPoint:
         point = run_point(
             "infocom05",
             "epidemic",
-            PROTOCOLS["epidemic"][1],
             plan=ReplicationPlan(seeds=(1,)),
             config_overrides={"mean_interarrival": 8.0},
         )

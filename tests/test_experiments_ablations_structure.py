@@ -26,11 +26,12 @@ def fake_point(**overrides):
 def calls(monkeypatch):
     recorded = []
 
-    def stub(trace_name, family, factory, deviation=None,
+    def stub(trace_name, protocol_name, deviation=None,
              deviation_count=0, plan=None, config_overrides=None,
-             options=None, protocol_name=None):
+             options=None):
         recorded.append(
             dict(
+                protocol=protocol_name,
                 deviation=deviation,
                 count=deviation_count,
                 overrides=config_overrides or {},
@@ -104,3 +105,8 @@ class TestComparisons:
         out = ablations.testers_comparison(plan=PLAN)
         assert "source_test_phases" in out
         assert "any_giver_detection_rate" in out
+        assert [c["overrides"]["testers"] for c in calls] == [
+            "source",
+            "any_giver",
+        ]
+        assert all(c["protocol"] == "g2g_epidemic" for c in calls)

@@ -24,7 +24,6 @@ from repro.experiments import (
     RunReport,
     run_key,
     run_point,
-    PROTOCOLS,
 )
 from repro.sim.config import EnergyModel, SimulationConfig, config_for
 from repro.sim.engine import Simulation
@@ -96,6 +95,7 @@ class TestRunKey:
             "message_size": base.message_size * 2,
             "instant_blacklist": not base.instant_blacklist,
             "blacklist_round_interval": 600.0,
+            "testers": "any_giver",
             "energy": dataclasses.replace(base.energy, heavy_hmac=9.9),
             "heavy_hmac_iterations": base.heavy_hmac_iterations * 2,
             "track_memory": not base.track_memory,
@@ -244,7 +244,6 @@ def run_tiny_point(options):
     return run_point(
         "infocom05",
         "epidemic",
-        PROTOCOLS["epidemic"][1],
         plan=ReplicationPlan(seeds=(1, 2)),
         config_overrides=TINY_OVERRIDES,
         options=options,

@@ -3,12 +3,13 @@
 The benchmarks run the real sweeps; these tests verify the harness
 *structure* cheaply — which grid points each figure visits, how series
 are labelled, and how results are assembled — by monkeypatching
-``run_point``.
+``run_point`` / ``run_series``.
 """
 
 import pytest
 
-from repro.experiments import fig3, fig4, fig5, fig7, fig8, table1
+from repro.experiments import PROTOCOLS, fig3, fig4, fig5, fig7, fig8, table1
+from repro.experiments.catalog import protocol
 from repro.experiments.runner import PointResult, ReplicationPlan
 
 
@@ -37,28 +38,30 @@ def calls(monkeypatch):
     """
     recorded = []
 
-    def record(trace_name, family, deviation, count):
+    def record(trace_name, protocol_name, deviation, count):
         recorded.append(
             dict(
                 trace=trace_name,
-                family=family,
+                protocol=protocol_name,
+                family=protocol(protocol_name)[0],
                 deviation=deviation,
                 count=count,
             )
         )
 
-    def stub_point(trace_name, family, factory, deviation=None,
+    def stub_point(trace_name, protocol_name, deviation=None,
                    deviation_count=0, plan=None, config_overrides=None,
-                   options=None, protocol_name=None):
-        record(trace_name, family, deviation, deviation_count)
+                   options=None):
+        record(trace_name, protocol_name, deviation, deviation_count)
         return fake_point()
 
-    def stub_series(trace_name, family, factory, counts, deviation,
-                    plan=None, config_overrides=None, options=None,
-                    protocol_name=None):
+    def stub_series(trace_name, protocol_name, counts, deviation,
+                    plan=None, config_overrides=None, options=None):
         out = []
         for count in counts:
-            record(trace_name, family, deviation if count else None, count)
+            record(
+                trace_name, protocol_name, deviation if count else None, count
+            )
             out.append((count, fake_point()))
         return out
 
@@ -138,6 +141,7 @@ class TestFig8Structure:
         panels = fig8.run(quick=True, plan=PLAN)
         for panel in panels.values():
             assert len(panel.points) == 6
+        assert [c["protocol"] for c in calls] == list(PROTOCOLS) * 2
 
     def test_cost_reduction_computation(self, calls):
         panels = fig8.run(quick=True, plan=PLAN)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import PROTOCOLS, ReplicationPlan, run_point
+from repro.experiments import ReplicationPlan, run_point
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "experiment_points.json"
 
@@ -76,11 +76,9 @@ CASES = {
 
 def measure(case):
     """Run one tiny grid point and summarize it as plain JSON data."""
-    family, factory = PROTOCOLS[case["protocol"]]
     point = run_point(
         "infocom05",
-        family,
-        factory,
+        case["protocol"],
         deviation=case["deviation"],
         deviation_count=case["count"],
         plan=PLAN,

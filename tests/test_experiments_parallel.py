@@ -17,10 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.g2g_epidemic import G2GEpidemicForwarding
 from repro.experiments import (
     ExecutionOptions,
-    PROTOCOLS,
     ReplicationPlan,
     RunCache,
     RunReport,
@@ -66,8 +64,7 @@ def assert_points_identical(a, b):
 def g2g_point(options=None, plan=PLAN):
     return run_point(
         "infocom05",
-        "epidemic",
-        PROTOCOLS["g2g_epidemic"][1],
+        "g2g_epidemic",
         deviation="dropper",
         deviation_count=5,
         plan=plan,
@@ -98,8 +95,7 @@ class TestRunSeries:
         counts = [0, 3, 6]
         series = run_series(
             "infocom05",
-            "epidemic",
-            PROTOCOLS["g2g_epidemic"][1],
+            "g2g_epidemic",
             counts,
             deviation="dropper",
             plan=ReplicationPlan(seeds=(1, 2)),
@@ -109,8 +105,7 @@ class TestRunSeries:
         for count, point in series:
             loose = run_point(
                 "infocom05",
-                "epidemic",
-                PROTOCOLS["g2g_epidemic"][1],
+                "g2g_epidemic",
                 deviation="dropper" if count else None,
                 deviation_count=count,
                 plan=ReplicationPlan(seeds=(1, 2)),
@@ -127,12 +122,11 @@ class TestRunSeries:
             config_overrides=TINY,
         )
         sequential = run_series(
-            "infocom05", "epidemic", PROTOCOLS["g2g_epidemic"][1], **kwargs
+            "infocom05", "g2g_epidemic", **kwargs
         )
         parallel = run_series(
             "infocom05",
-            "epidemic",
-            PROTOCOLS["g2g_epidemic"][1],
+            "g2g_epidemic",
             options=ExecutionOptions(workers=workers),
             **kwargs,
         )
@@ -248,20 +242,34 @@ class TestCrashRobustness:
             run_requests(requests, ExecutionOptions(workers=2))
 
 
-class TestAdHocFactories:
-    def test_uncatalogued_factory_runs_in_process(self, tmp_path):
+class TestTestersOverride:
+    def test_testers_mode_is_pooled_and_cached(self, tmp_path):
+        """The who-audits ablation's runs take the pooled, cached path."""
         cache = RunCache(tmp_path / "cache")
-        point = run_point(
-            "infocom05",
-            "epidemic",
-            lambda: G2GEpidemicForwarding(testers="any_giver"),
-            deviation="dropper",
-            deviation_count=5,
-            plan=ReplicationPlan(seeds=(1,)),
-            config_overrides=TINY,
-            options=ExecutionOptions(workers=4, cache=cache),
+
+        def point():
+            # Two seeds: a batch with one pending run executes in-process.
+            return run_point(
+                "infocom05",
+                "g2g_epidemic",
+                deviation="dropper",
+                deviation_count=5,
+                plan=ReplicationPlan(seeds=(1, 2)),
+                config_overrides={**TINY, "testers": "any_giver"},
+                options=ExecutionOptions(workers=2, cache=cache),
+            )
+
+        first = point()
+        assert (cache.stats.writes, cache.stats.hits) == (2, 0)
+        second = point()
+        assert (cache.stats.writes, cache.stats.hits) == (2, 2)
+        # Hits return the stored entries; compared by digest against the
+        # files, not the fresh runs, because a hit re-sums total_energy
+        # in file key order (the known energy-order defect).
+        stored = sorted(
+            results_digest(cache.get(path.stem))
+            for path in Path(cache.cache_dir).glob("*.json")
         )
-        assert len(point.runs) == 1
-        # ad-hoc factories have no stable identity: never cached
-        assert cache.stats.writes == 0
-        assert cache.stats.hits == 0
+        assert sorted(results_digest(r) for r in second.runs) == stored
+        assert second.detection_rate == first.detection_rate
+        assert second.success_rate == first.success_rate

@@ -11,7 +11,6 @@ import pytest
 from repro.cli import main
 from repro.experiments import (
     ExecutionOptions,
-    PROTOCOLS,
     ReplicationPlan,
     RunCache,
     RunReport,
@@ -33,10 +32,9 @@ def request(seed):
 def sweep(cache, seeds, report=None):
     """One honest epidemic grid point over ``seeds``; its runs."""
     [(_, point)] = run_series(
-        "infocom05", "epidemic", PROTOCOLS["epidemic"][1], [0], None,
+        "infocom05", "epidemic", [0], None,
         plan=ReplicationPlan(seeds=tuple(seeds)), config_overrides=LIGHT,
         options=ExecutionOptions(cache=cache, report=report),
-        protocol_name="epidemic",
     )
     return point.runs
 

@@ -14,7 +14,11 @@ from repro.sim.engine import CHURN_TIMER_TAG
 from repro.sim.events import EventQueue, Scheduler
 from repro.sim.messages import Message, StoredCopy
 from repro.sim.node import NodeState
-from repro.experiments.parallel import RunRequest, execute_request
+from repro.experiments.parallel import (
+    RunRequest,
+    execute_request,
+    expand_population,
+)
 from repro.scenarios import churn_events_for
 from tests.test_determinism_seeds import QUICK, results_digest
 
@@ -66,6 +70,22 @@ class TestChurnEvents:
         one = churn_events_for(nodes, CHURN, seed=1)
         other = churn_events_for(nodes, CHURN, seed=2)
         assert one != other
+
+    @pytest.mark.parametrize(
+        "cohort, fix",
+        [
+            ((1.5, 600.0, 1200.0), r"fraction must lie in \[0, 1\]"),
+            ((0.2, -5.0, None), "leave time must be non-negative"),
+            ((0.2, 600.0, 600.0), "rejoin time must come after the leave"),
+        ],
+        ids=["fraction-above-one", "negative-leave", "rejoin-not-after-leave"],
+    )
+    def test_bad_cohort_rejected_outside_scenario_spec(self, cohort, fix):
+        """Every path that expands churn validates its cohorts."""
+        with pytest.raises(ValueError, match=fix):
+            churn_events_for(range(10), [cohort], seed=1)
+        with pytest.raises(ValueError, match=fix):
+            expand_population(range(10), 1, churn=[cohort])
 
 
 class TestDepartRejoin:

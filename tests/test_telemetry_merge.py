@@ -8,7 +8,6 @@ simulation results themselves stay bit-identical too.
 
 import pytest
 
-from repro.experiments.catalog import protocol
 from repro.experiments.parallel import ExecutionOptions
 from repro.experiments.runner import run_point
 from repro.experiments.setting import ReplicationPlan
@@ -22,17 +21,14 @@ SEEDS = (1, 2, 3, 4)
 
 
 def _point(workers):
-    family, factory = protocol("g2g_epidemic")
     return run_point(
         "cambridge06",
-        family,
-        factory,
+        "g2g_epidemic",
         deviation="dropper",
         deviation_count=5,
         plan=ReplicationPlan(seeds=SEEDS),
         config_overrides=dict(TINY),
         options=ExecutionOptions(workers=workers),
-        protocol_name="g2g_epidemic",
     )
 
 
