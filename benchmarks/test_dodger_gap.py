@@ -15,31 +15,22 @@ EXPERIMENTS.md discusses it and sketches mitigations (treating
 repeated refusals as evidence, delegated testing).
 """
 
-from repro.core import G2GEpidemicForwarding
-from repro.core.payoff import best_response_check
-from repro.experiments import evaluation_trace, standard_config
-from repro.experiments.runner import ReplicationPlan
-from repro.adversaries import strategy_population
-from repro.sim import Simulation
+from repro.experiments import RunRequest, run_requests
+from repro.experiments.payoff import best_response_check
 
 from .conftest import run_once, save_and_print
 
 
 def measure():
-    trace = evaluation_trace("infocom05")
-    config = standard_config("infocom05", "epidemic", 1)
-    strategies, bad = strategy_population(trace.nodes, "dodger", 10, seed=1)
-    population_run = Simulation(
-        trace, G2GEpidemicForwarding(), config, strategies=strategies
-    ).run()
-    report = best_response_check(
-        trace,
-        G2GEpidemicForwarding,
-        config,
-        deviations=("dodger",),
-        seeds=(1, 2, 3),
+    request = RunRequest(
+        "infocom05", "epidemic", "g2g_epidemic", 1,
+        deviation="dodger", deviation_count=10,
     )
-    return population_run, bad, report
+    [population_run] = run_requests([request])
+    report = best_response_check(
+        "infocom05", "g2g_epidemic", deviations=("dodger",)
+    )
+    return population_run, request.misbehaving(), report
 
 
 def test_dodger_gap(benchmark, results_dir):

@@ -6,20 +6,16 @@ deviation, the deviant's *expected* utility (averaged over traffic
 seeds) must not exceed its honest utility.
 """
 
-from repro.core import G2GDelegationForwarding, G2GEpidemicForwarding
-from repro.core.payoff import best_response_check
-from repro.experiments import evaluation_trace, standard_config
+from repro.experiments.payoff import best_response_check
 
 from .conftest import run_once, save_and_print
 
 
 def test_nash_g2g_epidemic(benchmark, results_dir):
-    trace = evaluation_trace("infocom05")
-    config = standard_config("infocom05", "epidemic", 1)
     report = run_once(
         benchmark,
         lambda: best_response_check(
-            trace, G2GEpidemicForwarding, config, deviations=("dropper",)
+            "infocom05", "g2g_epidemic", deviations=("dropper",)
         ),
     )
     save_and_print(results_dir, "nash-g2g-epidemic", report.render())
@@ -28,14 +24,11 @@ def test_nash_g2g_epidemic(benchmark, results_dir):
 
 
 def test_nash_g2g_delegation(benchmark, results_dir):
-    trace = evaluation_trace("infocom05")
-    config = standard_config("infocom05", "delegation", 1)
     report = run_once(
         benchmark,
         lambda: best_response_check(
-            trace,
-            lambda: G2GDelegationForwarding("last_contact"),
-            config,
+            "infocom05",
+            "g2g_delegation_last_contact",
             deviations=("dropper", "liar", "cheater"),
         ),
     )

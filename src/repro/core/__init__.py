@@ -7,12 +7,6 @@ from .blacklist import (
     ProofOfMisbehavior,
 )
 from .g2g_base import Give2GetBase, RelayPlan
-from .payoff import (
-    BestResponseReport,
-    DeviationOutcome,
-    UtilityModel,
-    best_response_check,
-)
 from .g2g_delegation import G2GDelegationForwarding
 from .g2g_epidemic import G2GEpidemicForwarding
 from .proofs import (
@@ -36,9 +30,7 @@ from .wire import (
 )
 
 __all__ = [
-    "BestResponseReport",
     "BlacklistService",
-    "DeviationOutcome",
     "G2GDelegationForwarding",
     "G2GEpidemicForwarding",
     "Give2GetBase",
@@ -53,8 +45,6 @@ __all__ = [
     "SealedMessage",
     "StorageChallenge",
     "StorageProof",
-    "UtilityModel",
-    "best_response_check",
     "make_proof_of_relay",
     "make_quality_declaration",
     "make_storage_proof",

@@ -10,7 +10,7 @@ input that can change the output:
 * protocol family and catalog name (which encodes the factory
   parameters — e.g. ``delegation_last_contact`` vs
   ``delegation_frequency``);
-* adversary spec (deviation kind and count);
+* adversary spec (deviation kind and count, or explicit placement);
 * every :class:`~repro.sim.config.SimulationConfig` field, including
   the nested :class:`~repro.sim.config.EnergyModel`;
 * the replication seed;
@@ -64,6 +64,7 @@ def run_key(
     config: SimulationConfig,
     scenario: Optional[Mapping[str, Any]] = None,
     source: Optional[Sequence[Sequence[Any]]] = None,
+    placement: Optional[Sequence[Sequence[Any]]] = None,
 ) -> str:
     """Stable content hash identifying one simulation run.
 
@@ -73,10 +74,11 @@ def run_key(
 
     ``scenario`` carries the extra inputs of scenario runs (adversary
     mix, churn schedule, energy-budget spec); ``source`` carries the
-    streaming-source spec of synthetic mega-trace runs.  Each is
-    folded into the payload only when present, so every pre-scenario
-    (and pre-source) key — and every entry written under one — stays
-    valid.
+    streaming-source spec of synthetic mega-trace runs; ``placement``
+    the explicit ``(node, kind)`` adversaries of best-response runs.
+    Each is folded into the payload only when present, so every
+    pre-scenario (and pre-source, pre-placement) key — and every entry
+    written under one — stays valid.
     """
     payload = {
         "cache_version": CACHE_VERSION,
@@ -93,6 +95,8 @@ def run_key(
         payload["scenario"] = dict(scenario)
     if source:
         payload["source"] = [list(pair) for pair in source]
+    if placement:
+        payload["placement"] = [list(pair) for pair in placement]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

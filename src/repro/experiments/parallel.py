@@ -36,7 +36,11 @@ from typing import (
 )
 
 from ..adversaries.base import Strategy
-from ..adversaries.factory import mixed_population, strategy_population
+from ..adversaries.factory import (
+    mixed_population,
+    population_from_roles,
+    strategy_population,
+)
 from ..sim.config import SimulationConfig, config_for
 from ..sim.engine import ChurnEvent, Simulation
 from ..sim.results import SimulationResults
@@ -82,11 +86,14 @@ class RunRequest:
             display label only.  Source runs carry their full config
             in ``overrides`` (there is no preset TTL table for
             synthetic universes) and have no community oracle.
+        placement: explicit adversaries as sorted ``(node, kind)``
+            pairs — the Nash checks' "exactly this node deviates";
+            mutually exclusive with ``deviation`` and ``mix``.
 
-    The worker expands deviation, mix, churn and energy budget over
-    the run's node universe with :func:`expand_population` — the
-    evaluation trace's nodes, or the stream's node range for source
-    runs — so a source request plants adversaries exactly as
+    The worker expands deviation, mix, placement, churn and energy
+    budget over the run's node universe with :func:`expand_population`
+    — the evaluation trace's nodes, or the stream's node range for
+    source runs — so a source request plants adversaries exactly as
     :func:`repro.api.run` does on the same source.
     """
 
@@ -101,6 +108,7 @@ class RunRequest:
     churn: Tuple[Tuple[float, float, Optional[float]], ...] = ()
     energy_budget: Tuple[Any, ...] = ()
     source: Tuple[Tuple[str, Any], ...] = ()
+    placement: Tuple[Tuple[NodeId, str], ...] = ()
 
     def config(self) -> SimulationConfig:
         """The run's full simulation configuration."""
@@ -141,6 +149,7 @@ class RunRequest:
             config=self.config(),
             scenario=self.scenario_extras(),
             source=self.source or None,
+            placement=self.placement or None,
         )
 
     def inputs(self) -> Tuple[Union[ContactTrace, ContactSource], Sequence[NodeId], Any]:
@@ -165,6 +174,7 @@ class RunRequest:
             deviation=self.deviation,
             deviation_count=self.deviation_count,
             mix=self.mix,
+            placement=self.placement,
         ).roles
 
     def misbehaving(self) -> Tuple[NodeId, ...]:
@@ -191,6 +201,7 @@ def expand_population(
     deviation: Optional[str] = None,
     deviation_count: int = 0,
     mix: Union[None, Mapping[str, float], Sequence[Tuple[str, float]]] = None,
+    placement: Sequence[Tuple[NodeId, str]] = (),
     churn: Optional[Sequence[Tuple[float, float, Optional[float]]]] = None,
     energy_budget: Optional[Sequence[Any]] = None,
 ) -> Population:
@@ -200,7 +211,8 @@ def expand_population(
     :func:`execute_request`, :func:`repro.api.run` and the placement
     replay of :meth:`RunRequest.roles`.  The arguments mean what the
     :class:`RunRequest` fields of the same names mean; ``mix`` wins
-    over ``deviation`` (callers reject requests carrying both).
+    over ``deviation``, and both over ``placement`` (callers reject
+    requests carrying more than one).
     """
     strategies = None
     roles: Dict[str, Tuple[NodeId, ...]] = {}
@@ -217,6 +229,12 @@ def expand_population(
             community=community,
         )
         roles = {deviation: misbehaving}
+    elif placement:
+        strategies = population_from_roles(
+            universe, dict(placement), community
+        )
+        for node, kind in sorted(placement):
+            roles[kind] = roles.get(kind, ()) + (node,)
     schedule = None
     budgets = None
     if churn or energy_budget:
@@ -247,10 +265,19 @@ def execute_request(request: RunRequest) -> SimulationResults:
             f" RunRequest(trace_name=..., family=..., protocol_name=...)"
         )
     _, factory = protocol(request.protocol_name)
-    if request.mix and request.deviation is not None:
+    carried = [
+        name
+        for name, value in (
+            ("deviation", request.deviation is not None),
+            ("mix", request.mix),
+            ("placement", request.placement),
+        )
+        if value
+    ]
+    if len(carried) > 1:
         raise ValueError(
-            "a RunRequest carries either a single deviation or a mix,"
-            " not both"
+            "a RunRequest carries a single deviation, a mix or a"
+            f" placement, not both: got {' and '.join(carried)}"
         )
     contacts, universe, community = request.inputs()
     population = expand_population(
@@ -260,6 +287,7 @@ def execute_request(request: RunRequest) -> SimulationResults:
         deviation=request.deviation,
         deviation_count=request.deviation_count,
         mix=request.mix,
+        placement=request.placement,
         churn=request.churn,
         energy_budget=request.energy_budget,
     )

@@ -31,7 +31,6 @@ from ..experiments.parallel import (
     RunRequest,
     run_requests,
 )
-from ..experiments.setting import evaluation_trace
 from ..telemetry.export import run_record, to_prometheus, write_jsonl
 from ..telemetry.population import (
     inject_population_metrics,
@@ -146,8 +145,9 @@ def run_campaign(
     rows: List[Dict[str, Any]] = []
     records: List[Dict[str, Any]] = []
     for spec, request, result in zip(owners, flat, results):
-        nodes = evaluation_trace(spec.trace).nodes
-        metrics = population_metrics(nodes, request.roles(), result)
+        metrics = population_metrics(
+            request.inputs()[1], request.roles(), result
+        )
         rows.append(_matrix_row(spec, request, result, metrics))
         if result.telemetry is not None:
             record = run_record(result)

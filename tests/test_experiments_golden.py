@@ -71,6 +71,18 @@ CASES = {
             "mean_interarrival": 30.0,
         },
     ),
+    # G2G Delegation liars: pins the camouflage draws of
+    # G2GDelegationForwarding._camouflage_subject.
+    "table1_liar": dict(
+        protocol="g2g_delegation_last_contact",
+        deviation="liar",
+        count=10,
+        overrides={
+            "run_length": 3600.0,
+            "silent_tail": 1800.0,
+            "mean_interarrival": 30.0,
+        },
+    ),
 }
 
 

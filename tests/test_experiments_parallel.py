@@ -23,6 +23,8 @@ from repro.experiments import (
     RunCache,
     RunReport,
     RunRequest,
+    execute_request,
+    run_key,
     run_point,
     run_requests,
     run_series,
@@ -273,3 +275,63 @@ class TestTestersOverride:
         assert sorted(results_digest(r) for r in second.runs) == stored
         assert second.detection_rate == first.detection_rate
         assert second.success_rate == first.success_rate
+
+
+class TestPlacement:
+    """Explicit ``(node, kind)`` adversaries on a ``RunRequest``."""
+
+    @staticmethod
+    def request(**fields):
+        return RunRequest(
+            "infocom05", "epidemic", "g2g_epidemic", 1,
+            overrides=tuple(sorted(TINY.items())), **fields,
+        )
+
+    def test_deviation_with_placement_rejected(self):
+        bad = self.request(
+            deviation="dropper", deviation_count=1,
+            placement=((0, "liar"),),
+        )
+        with pytest.raises(ValueError, match="deviation and placement"):
+            execute_request(bad)
+
+    def test_mix_with_placement_rejected(self):
+        bad = self.request(mix=(("liar", 0.1),), placement=((0, "liar"),))
+        with pytest.raises(ValueError, match="mix and placement"):
+            execute_request(bad)
+
+    def test_node_outside_the_universe_rejected(self):
+        bad = self.request(placement=((99999, "dropper"),))
+        with pytest.raises(ValueError, match="99999"):
+            execute_request(bad)
+
+    def test_unknown_kind_rejected(self):
+        bad = self.request(placement=((0, "gossip"),))
+        with pytest.raises(KeyError, match="unknown deviation 'gossip'"):
+            execute_request(bad)
+
+    def test_roles_group_the_placement_by_kind(self):
+        placed = self.request(
+            placement=((0, "dropper"), (1, "liar"), (2, "dropper"))
+        )
+        assert placed.roles() == {"dropper": (0, 2), "liar": (1,)}
+        assert placed.misbehaving() == (0, 1, 2)
+
+    def test_placements_key_differently(self):
+        keys = {
+            self.request(placement=placement).cache_key()
+            for placement in ((), ((0, "dropper"),), ((1, "dropper"),))
+        }
+        assert len(keys) == 3
+
+    def test_plain_key_has_no_placement(self):
+        plain = self.request()
+        assert plain.cache_key() == run_key(
+            trace_name=plain.trace_name,
+            family=plain.family,
+            protocol_name=plain.protocol_name,
+            deviation=None,
+            deviation_count=0,
+            seed=plain.seed,
+            config=plain.config(),
+        )
