@@ -145,7 +145,9 @@ def run(
             ``("constant", joules)`` or ``("uniform", lo, hi)``.
         strategies: explicit per-node strategy map (advanced).
         community: community oracle; defaults to the detected one for
-            named traces and to None for caller-supplied traces.
+            named traces and to None for caller-supplied traces.  It
+            only feeds adversary expansion, where it picks and wraps
+            the with-outsiders adversaries.
         blacklist: PoM propagation service override.
         telemetry: a directory (the run's JSONL record is appended to
             ``<dir>/runs.jsonl``) or a :class:`TelemetryCollector`.
@@ -229,7 +231,6 @@ def run(
         protocol_obj,
         run_config,
         strategies=strategies,
-        community=community,
         blacklist=blacklist,
         churn=population.churn,
         energy_budgets=population.energy_budgets,

@@ -296,7 +296,6 @@ def execute_request(request: RunRequest) -> SimulationResults:
         factory(),
         request.config(),
         strategies=population.strategies,
-        community=community,
         churn=population.churn,
         energy_budgets=population.energy_budgets,
     ).run()

@@ -24,7 +24,6 @@ SECTIONS: Tuple[Tuple[str, str], ...] = (
     ("fig8", "Figure 8 — G2G vs vanilla performance"),
     ("nash", "Nash equilibrium — empirical best-response checks"),
     ("dodger", "The test-dodger gap — a reproduction finding"),
-    ("baselines", "Beyond the paper — classic DTN baselines"),
     ("ablation", "Ablations — design-choice sweeps"),
 )
 

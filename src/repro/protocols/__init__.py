@@ -6,22 +6,16 @@ from .base import (
     exchange_pairs,
     make_room,
 )
-from .bubble import BubbleRapForwarding
 from .delegation import DelegationForwarding
 from .epidemic import EpidemicForwarding
-from .prophet import ProphetForwarding
 from .quality import QualityTracker
-from .spray_wait import SprayAndWaitForwarding
 
 __all__ = [
-    "BubbleRapForwarding",
     "DelegationForwarding",
     "EpidemicForwarding",
     "ForwardingProtocol",
-    "ProphetForwarding",
     "QualityTracker",
     "SimulationContext",
-    "SprayAndWaitForwarding",
     "exchange_pairs",
     "make_room",
 ]

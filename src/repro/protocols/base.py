@@ -33,9 +33,8 @@ class CommunityOracle(Protocol):
 
     Anything exposing ``same_community`` qualifies — the detected
     :class:`repro.social.CommunityMap`, a synthetic trace's planted
-    partition, or a test stub.  Typing the oracle as a Protocol (it
-    was a bare ``Optional[object]`` before) lets strict mypy check the
-    call sites in ``sim/`` and ``core/`` instead of trusting ducks.
+    partition, or a test stub.  It picks and wraps the with-outsiders
+    adversaries when a run's population is expanded.
     """
 
     def same_community(self, a: NodeId, b: NodeId) -> bool:
@@ -53,7 +52,6 @@ class SimulationContext:
         results: metrics sink.
         rng: protocol-side randomness (distinct stream from traffic).
         blacklist: PoM propagation service.
-        community: optional community oracle (``same_community``).
         active_contacts: currently open contacts as unordered pairs.
         scheduler: the run scheduler timers route through; None only
             in hand-built contexts that never touch timers.
@@ -76,7 +74,6 @@ class SimulationContext:
     results: SimulationResults
     rng: random.Random
     blacklist: BlacklistService = field(default_factory=InstantBlacklist)
-    community: Optional[CommunityOracle] = None
     active_contacts: Set[frozenset] = field(default_factory=set)
     events: EventLog = field(default_factory=lambda: EventLog(enabled=False))
     scheduler: Optional[Scheduler] = None
@@ -190,16 +187,6 @@ class SimulationContext:
         node.flush(now, self.results)
         self.results.record_eviction(offender, now)
         self.events.log(now, EventType.EVICTED, actor=offender)
-
-    def same_community(self, a: NodeId, b: NodeId) -> bool:
-        """Community oracle passthrough.
-
-        Raises:
-            RuntimeError: if no community oracle was configured.
-        """
-        if self.community is None:
-            raise RuntimeError("no community oracle configured")
-        return self.community.same_community(a, b)
 
 
 class ForwardingProtocol(ABC):

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # circular at runtime: protocols.base imports sim
-    from ..protocols.base import (
-        CommunityOracle,
-        ForwardingProtocol,
-        SimulationContext,
-    )
+    from ..protocols.base import ForwardingProtocol, SimulationContext
 
 from ..adversaries.base import HONEST, Strategy
 from ..core.blacklist import BlacklistService, GossipBlacklist, InstantBlacklist
@@ -136,8 +132,6 @@ class Simulation:
         config: run parameters.
         strategies: per-node strategies; nodes absent from the map are
             honest.
-        community: community oracle handed to the context (used by
-            with-outsiders strategies and available to protocols).
         blacklist: PoM propagation service; defaults to instant or
             gossip according to ``config.instant_blacklist``.
         churn: optional join/leave schedule; each transition becomes a
@@ -152,7 +146,6 @@ class Simulation:
         protocol: "ForwardingProtocol",
         config: SimulationConfig,
         strategies: Optional[Dict[NodeId, Strategy]] = None,
-        community: Optional["CommunityOracle"] = None,
         blacklist: Optional[BlacklistService] = None,
         churn: Optional[Sequence[ChurnEvent]] = None,
         energy_budgets: Optional[Mapping[NodeId, float]] = None,
@@ -167,7 +160,6 @@ class Simulation:
         self.protocol = protocol
         self.config = config
         self.strategies = strategies or {}
-        self.community = community
         self.churn = tuple(churn or ())
         self.energy_budgets = dict(energy_budgets or {})
         universe = source.universe
@@ -230,7 +222,6 @@ class Simulation:
             results=results,
             rng=random.Random(f"{self.config.seed}|protocol"),
             blacklist=self.blacklist,
-            community=self.community,
             events=events,
             scheduler=scheduler,
             energy_budgets=dict(self.energy_budgets),
@@ -351,9 +342,6 @@ def run_simulation(
     protocol: "ForwardingProtocol",
     config: SimulationConfig,
     strategies: Optional[Dict[NodeId, Strategy]] = None,
-    community: Optional["CommunityOracle"] = None,
 ) -> SimulationResults:
     """One-shot convenience wrapper around :class:`Simulation`."""
-    return Simulation(
-        trace, protocol, config, strategies=strategies, community=community
-    ).run()
+    return Simulation(trace, protocol, config, strategies=strategies).run()

@@ -1,9 +1,9 @@
 """Centrality measures over contact graphs.
 
 Social forwarding heuristics rank nodes by how structurally central
-they are in the aggregated contact graph — BubbleRap bubbles messages
-up such rankings. Three classic measures, implemented from scratch on
-the :class:`repro.social.graph.ContactGraph` adjacency:
+they are in the aggregated contact graph. Three classic measures,
+implemented from scratch on the
+:class:`repro.social.graph.ContactGraph` adjacency:
 
 * **degree centrality** — fraction of other nodes adjacent;
 * **closeness centrality** — inverse mean shortest-path distance

@@ -1,5 +1,7 @@
 """Tests for the reproduction-report assembler."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.report import (
@@ -7,6 +9,9 @@ from repro.experiments.report import (
     collect_outputs,
     write_report,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
 
 
 @pytest.fixture
@@ -49,3 +54,11 @@ class TestBuild:
         out = write_report(results_dir, tmp_path / "REPORT.md")
         assert out.exists()
         assert out.read_text().startswith("# Give2Get reproduction report")
+
+
+class TestCheckedInReport:
+    def test_report_is_the_assembled_results(self):
+        # A stale results file, an orphaned section or a hand edit to
+        # REPORT.md makes the two differ.
+        assert not collect_outputs(RESULTS).get("other")
+        assert build_report(RESULTS) == (ROOT / "REPORT.md").read_text()

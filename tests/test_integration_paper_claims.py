@@ -28,12 +28,10 @@ def infocom_community():
     return evaluation_community("infocom05")
 
 
-def run(trace, protocol, family="epidemic", strategies=None, community=None,
+def run(trace, protocol, family="epidemic", strategies=None,
         trace_name="infocom05", seed=1):
     config = standard_config(trace_name, family, seed)
-    return Simulation(
-        trace, protocol, config, strategies=strategies, community=community
-    ).run()
+    return Simulation(trace, protocol, config, strategies=strategies).run()
 
 
 class TestSelfishnessCrashesVanillaProtocols:
@@ -123,12 +121,7 @@ class TestG2GDetection:
             seed=1,
             community=infocom_community,
         )
-        results = run(
-            infocom,
-            G2GEpidemicForwarding(),
-            strategies=strategies,
-            community=infocom_community,
-        )
+        results = run(infocom, G2GEpidemicForwarding(), strategies=strategies)
         assert results.detection_rate(bad) >= 0.5
         assert results.false_positives(bad) == set()
 

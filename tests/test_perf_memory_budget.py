@@ -12,16 +12,9 @@ import pytest
 
 from repro.core import G2GEpidemicForwarding
 from repro.perf import measure_peak_alloc
-from repro.protocols import (
-    BubbleRapForwarding,
-    DelegationForwarding,
-    EpidemicForwarding,
-    ProphetForwarding,
-    SprayAndWaitForwarding,
-)
+from repro.protocols import DelegationForwarding, EpidemicForwarding
 from repro.sim import Simulation, SimulationConfig
 from repro.sim.messages import Message
-from repro.social import CommunityMap
 from repro.traces import ContactTrace
 from repro.traces.stream import StreamModelConfig, SyntheticStreamSource
 
@@ -94,16 +87,12 @@ class TestStreamedG2GBudget:
         )
 
 
-#: The five baselines, each with the contact that makes node 0 relay
-#: the message to node 1 (destination 2): epidemic and spray-and-wait
-#: relay on any contact; delegation and PRoPHET once node 1 has met
-#: the destination; BubbleRap because node 1 is in its community.
+#: The two baselines, each with the contact that makes node 0 relay
+#: the message to node 1 (destination 2): epidemic relays on any
+#: contact, delegation once node 1 has met the destination.
 BASELINES = {
     EpidemicForwarding: (),
     DelegationForwarding: ((1, 2),),
-    ProphetForwarding: ((1, 2),),
-    SprayAndWaitForwarding: (),
-    BubbleRapForwarding: (),
 }
 
 
@@ -113,12 +102,7 @@ def harness(protocol):
         run_length=4000.0, silent_tail=1000.0, mean_interarrival=1e6,
         ttl=2000.0,
     )
-    community = CommunityMap.from_communities(
-        [frozenset({0}), frozenset({1, 2})], universe=(0, 1, 2)
-    )
-    ctx = Simulation(
-        trace, protocol, config, community=community
-    )._build_context()
+    ctx = Simulation(trace, protocol, config)._build_context()
     protocol.bind(ctx)
     return ctx
 

@@ -18,11 +18,8 @@ ALLOWED_SITES = {
     ("repro.experiments.parallel", "execute_request"),
 }
 
-#: The same for the benchmark suite.  The beyond-paper baselines have
-#: no catalog name, so their table still builds its own runs.
-ALLOWED_BENCHMARK_SITES = {
-    ("benchmarks.test_baselines_beyond_paper", "run_comparison"),
-}
+#: The same for the benchmark suite, which builds none.
+ALLOWED_BENCHMARK_SITES = set()
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 

@@ -21,7 +21,7 @@ from repro.experiments import (
     run_requests,
 )
 from repro.experiments.parallel import execute_request
-from repro.experiments.setting import evaluation_community, evaluation_trace
+from repro.experiments.setting import evaluation_trace
 from repro.sim.engine import Simulation
 from repro.sim.serialize import results_digest as digest
 from repro.traces import InMemorySource, StreamModelConfig, SyntheticStreamSource
@@ -70,7 +70,6 @@ class TestInMemorySourceIsTheIdentityPath:
             InMemorySource(evaluation_trace(trace_name)),
             factory(),
             request.config(),
-            community=evaluation_community(trace_name),
         ).run()
         assert digest(standard) == digest(via_source)
 
