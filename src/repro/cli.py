@@ -131,6 +131,29 @@ def _int_list(text: str) -> Tuple[int, ...]:
     return tuple(values)
 
 
+def _non_negative(value: int) -> int:
+    """Reject a negative adversary count (``--count``/``--counts``)."""
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"adversary count must be >= 0, got {value}"
+        )
+    return value
+
+
+def _count(text: str) -> int:
+    """Parse ``--count``: one non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    return _non_negative(value)
+
+
+def _count_list(text: str) -> Tuple[int, ...]:
+    """Parse ``--counts``: comma-separated non-negative integers."""
+    return tuple(_non_negative(value) for value in _int_list(text))
+
+
 def _telemetry_parent() -> argparse.ArgumentParser:
     """Shared ``--telemetry-dir`` flag (simulate/experiment/sweep)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -167,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--adversary", choices=_adversary_kinds(), default=None,
         metavar="KIND", help="deviation kind, one of: %(choices)s",
     )
-    simulate.add_argument("--count", type=int, default=0,
+    simulate.add_argument("--count", type=_count, default=0,
                           help="number of deviating nodes")
     simulate.add_argument(
         "--json", action="store_true",
@@ -208,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deviation kind (default: dropper), one of: %(choices)s",
     )
     sweep.add_argument(
-        "--counts", type=_int_list, default="0,10,20,30",
+        "--counts", type=_count_list, default="0,10,20,30",
         help="comma-separated adversary counts",
     )
     sweep.add_argument(
@@ -301,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     communities.add_argument("--k", type=int, default=3)
     communities.add_argument("--quantile", type=float, default=0.9)
+    # Detection validates k and the quantile; its message becomes the
+    # subcommand's usage error.
+    communities.set_defaults(usage_error=communities.error)
 
     scenarios = sub.add_parser(
         "scenarios", help="run or inspect adversary campaigns"
@@ -724,9 +750,12 @@ def cmd_scenarios(args) -> int:
 
 def cmd_communities(args) -> int:
     synthetic = trace_by_name(args.trace, seed=args.seed)
-    cmap = CommunityMap.detect(
-        synthetic.trace, k=args.k, edge_quantile=args.quantile
-    )
+    try:
+        cmap = CommunityMap.detect(
+            synthetic.trace, k=args.k, edge_quantile=args.quantile
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
     print(
         f"{cmap.num_communities} communities "
         f"(k={args.k}, edge quantile {args.quantile}), "

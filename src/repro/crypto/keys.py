@@ -32,10 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 NodeId = int
 
 
-class CertificateError(Exception):
-    """Raised when a certificate fails verification."""
-
-
 def _cert_payload(node_id: NodeId, public_key_fingerprint: bytes) -> bytes:
     """Canonical byte encoding of a certificate's signed content."""
     return b"g2g-cert|" + str(node_id).encode() + b"|" + public_key_fingerprint

@@ -1,11 +1,10 @@
 """Number-theoretic primitives for the from-scratch crypto substrate.
 
-The Give2Get protocols assume every node can sign messages and open
-encrypted sessions (Sec. III of the paper).  This module provides the
-arithmetic needed to build RSA signatures and Diffie-Hellman key
-agreement without any third-party cryptography dependency: modular
-exponentiation helpers, the extended Euclidean algorithm, modular
-inverses, Miller-Rabin primality testing, and random prime generation.
+The Give2Get protocols assume every node can sign messages and encrypt
+to a destination (Sec. III of the paper).  This module provides the
+arithmetic needed to build RSA without any third-party cryptography
+dependency: the extended Euclidean algorithm, modular inverses,
+Miller-Rabin primality testing, and random prime generation.
 
 All functions are deterministic given the supplied ``random.Random``
 instance, which keeps key generation reproducible in tests and
@@ -134,24 +133,6 @@ def random_prime(bits: int, rng: random.Random) -> int:
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(candidate, rng):
             return candidate
-
-
-def random_safe_prime(bits: int, rng: random.Random) -> int:
-    """Generate a safe prime ``p`` (i.e. ``(p - 1) / 2`` is also prime).
-
-    Safe primes make Diffie-Hellman groups with a large prime-order
-    subgroup easy to construct.  This is noticeably slower than
-    :func:`random_prime`; the library ships precomputed groups for the
-    common sizes (see :mod:`repro.crypto.dh`) so this function is only
-    needed when generating fresh groups.
-    """
-    if bits < 8:
-        raise ValueError(f"prime bit length must be >= 8, got {bits}")
-    while True:
-        q = random_prime(bits - 1, rng)
-        p = 2 * q + 1
-        if is_probable_prime(p, rng):
-            return p
 
 
 def int_to_bytes(n: int) -> bytes:

@@ -1,13 +1,13 @@
-"""Pluggable crypto providers: real RSA/DH or fast simulated crypto.
+"""Pluggable crypto providers: real RSA or fast simulated crypto.
 
 Large parameter sweeps (e.g. the Fig. 3 dropper sweep runs dozens of
 3-hour simulations) cannot afford a 512-bit RSA signature per relayed
 message, so the library separates *what* the protocols do from *how*
 the primitives are computed:
 
-* :class:`RealCryptoProvider` — from-scratch RSA signatures, hybrid
-  RSA + stream-cipher encryption, DH session keys.  Used in the crypto
-  test suite and available for small end-to-end runs.
+* :class:`RealCryptoProvider` — from-scratch RSA signatures and hybrid
+  RSA + stream-cipher encryption.  Used in the crypto test suite and
+  available for small end-to-end runs.
 * :class:`SimulatedCryptoProvider` — an HMAC-based provider backed by a
   private key registry.  Signatures remain *unforgeable by protocol
   code* (only the provider can reach the registry; a node object holds
@@ -16,8 +16,9 @@ the primitives are computed:
   path behaves identically, at a tiny fraction of the cost.  This is
   the substitution documented in DESIGN.md §3.
 
-Both satisfy the :class:`CryptoProvider` interface consumed by
-:mod:`repro.crypto.keys` and :mod:`repro.crypto.session`.
+Both satisfy the :class:`CryptoProvider` interface, which holds exactly
+the primitives a G2G run calls; it is consumed by
+:mod:`repro.crypto.keys` and the G2G protocols in :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Any, Dict, Sequence, Tuple
 
 from ..perf.counters import COUNTERS
 from . import rsa, symmetric
-from .dh import DhGroup, default_group
 from .hashing import (
     PreparedHmacKey,
     constant_time_equal,
@@ -85,25 +85,35 @@ class CryptoProvider(ABC):
     def decrypt(self, private_key: Any, ciphertext: bytes) -> bytes:
         """Invert :meth:`encrypt`; raises on tampering."""
 
-    @abstractmethod
-    def new_session_key(self, rng: random.Random) -> bytes:
-        """Derive a fresh pairwise session key (the DH handshake)."""
+
+#: Length of the random content key that hybrid encryption RSA-wraps.
+CONTENT_KEY_SIZE = 16
+
+#: Smallest modulus whose masked-encryption capacity holds the content
+#: key.  The modulus must span a zero byte, the padding seed, a 2-byte
+#: length prefix and the key (see ``rsa._mask_pad``); the shortest bit
+#: length with that many bytes is one bit over the next-smaller width.
+_MIN_MODULUS_BYTES = 1 + rsa.SEED_SIZE + 2 + CONTENT_KEY_SIZE
+MIN_KEY_BITS = 8 * (_MIN_MODULUS_BYTES - 1) + 1
 
 
 class RealCryptoProvider(CryptoProvider):
-    """Provider backed by the from-scratch RSA and DH implementations."""
+    """Provider backed by the from-scratch RSA implementation."""
 
     def __init__(
         self,
         key_bits: int = rsa.DEFAULT_KEY_BITS,
         rng: random.Random | None = None,
-        group: DhGroup | None = None,
     ) -> None:
+        if key_bits < MIN_KEY_BITS:
+            raise ValueError(
+                f"key_bits must be >= {MIN_KEY_BITS} to wrap a "
+                f"{CONTENT_KEY_SIZE}-byte content key, got {key_bits}"
+            )
         self._key_bits = key_bits
         # A fixed-seed default keeps unseeded construction replayable;
         # the simulation always injects ctx.rng.
         self._rng = rng if rng is not None else random.Random(0)
-        self._group = group if group is not None else default_group()
 
     def generate_keypair(self) -> Tuple[rsa.RsaPrivateKey, rsa.RsaPublicKey]:
         private = rsa.generate_keypair(self._key_bits, self._rng)
@@ -123,10 +133,10 @@ class RealCryptoProvider(CryptoProvider):
     def encrypt(self, public_key: rsa.RsaPublicKey, plaintext: bytes) -> bytes:
         """Hybrid encryption: RSA-wrap a random key, stream-encrypt data.
 
-        A 16-byte content key is wrapped so that even the smallest
-        supported moduli (384 bits) can carry it.
+        A 16-byte content key is wrapped so that every modulus of at
+        least :data:`MIN_KEY_BITS` bits can carry it.
         """
-        key = bytes(self._rng.getrandbits(8) for _ in range(16))
+        key = bytes(self._rng.getrandbits(8) for _ in range(CONTENT_KEY_SIZE))
         wrapped = public_key.encrypt(key, self._rng)
         body = symmetric.encrypt(key, plaintext, self._rng)
         header = len(wrapped).to_bytes(2, "big")
@@ -140,20 +150,6 @@ class RealCryptoProvider(CryptoProvider):
         body = ciphertext[2 + wrapped_len :]
         key = private_key.decrypt(wrapped)
         return symmetric.decrypt(key, body)
-
-    def new_session_key(self, rng: random.Random) -> bytes:
-        """Run an (unauthenticated-channel) DH exchange for both sides.
-
-        The simulator models both endpoints of the handshake at once —
-        contacts are bilateral — so the provider simply executes the
-        two half-exchanges and returns the agreed key.
-        """
-        a = self._group.private_exponent(rng)
-        b = self._group.private_exponent(rng)
-        key_a = self._group.shared_secret(a, self._group.public_value(b))
-        key_b = self._group.shared_secret(b, self._group.public_value(a))
-        assert key_a == key_b
-        return key_a
 
 
 @dataclass(frozen=True)
@@ -304,6 +300,3 @@ class SimulatedCryptoProvider(CryptoProvider):
 
     def decrypt(self, private_key: _SimPrivateKey, ciphertext: bytes) -> bytes:
         return symmetric.decrypt(self._enc_key(private_key.key_id), ciphertext)
-
-    def new_session_key(self, rng: random.Random) -> bytes:
-        return symmetric.random_key(rng)

@@ -1,21 +1,17 @@
-"""Symmetric stream cipher used for in-session encryption.
+"""Symmetric stream cipher behind sender-to-destination encryption.
 
-After the DH handshake, "every communication during the session is
-encrypted with a symmetric algorithm like AES and the session key"
-(Sec. IV-A).  With no AES available offline, we implement a SHA-256
-counter-mode stream cipher with an HMAC authentication tag — a
-standard encrypt-then-MAC construction whose behavior (confidentiality
-plus integrity under a shared key) matches what the protocols need.
-
-The same primitive also implements ``E_k(m)`` from step 3 of the relay
-phase, where the message is handed over under a random key ``k`` that
-is revealed only after the Proof of Relay is signed.
+The body of every message is encrypted to its destination (Sec. III).
+Both providers carry that body under this cipher: the real provider
+under a fresh content key that it RSA-wraps (hybrid encryption), the
+simulated provider under a secret derived per keypair.  With no AES
+available offline, it is a SHA-256 counter-mode stream cipher with an
+HMAC authentication tag — a standard encrypt-then-MAC construction
+giving confidentiality plus integrity under a shared key.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .hashing import DIGEST_SIZE, constant_time_equal, digest, hmac_digest
 
@@ -38,11 +34,6 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
         out += digest(key + nonce + block.to_bytes(8, "big"))
         block += 1
     return bytes(out[:length])
-
-
-def random_key(rng: random.Random) -> bytes:
-    """Sample a fresh 32-byte symmetric key."""
-    return bytes(rng.getrandbits(8) for _ in range(DIGEST_SIZE))
 
 
 def encrypt(key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
@@ -76,25 +67,3 @@ def decrypt(key: bytes, blob: bytes) -> bytes:
     stream = _keystream(key, nonce, len(ciphertext))
     return bytes(a ^ b for a, b in zip(ciphertext, stream))
 
-
-@dataclass
-class SymmetricChannel:
-    """A bidirectional encrypted channel bound to one session key.
-
-    Thin convenience wrapper so protocol code reads naturally::
-
-        channel = SymmetricChannel(session_key, rng)
-        wire_bytes = channel.seal(payload)
-        payload = channel.open(wire_bytes)
-    """
-
-    key: bytes
-    rng: random.Random
-
-    def seal(self, plaintext: bytes) -> bytes:
-        """Encrypt and authenticate ``plaintext``."""
-        return encrypt(self.key, plaintext, self.rng)
-
-    def open(self, blob: bytes) -> bytes:
-        """Decrypt and verify ``blob``; raises on tampering."""
-        return decrypt(self.key, blob)

@@ -5,7 +5,7 @@ surface — ``Give2GetBase(provider=...)``, ``api.run(provider=...)``,
 the CLI's ``--provider`` — resolves names identically.  Tiers order by
 fidelity-versus-speed:
 
-* ``"real"`` — from-scratch RSA/DH; the ground truth, minutes per run.
+* ``"real"`` — from-scratch RSA; the ground truth, minutes per run.
 * ``"simulated"`` — HMAC-backed registry; the default, bit-identical
   results at a small fraction of the cost (the conformance suite in
   ``tests/test_provider_tiers.py`` holds it to that).

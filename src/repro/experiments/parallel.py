@@ -213,7 +213,14 @@ def expand_population(
     :class:`RunRequest` fields of the same names mean; ``mix`` wins
     over ``deviation``, and both over ``placement`` (callers reject
     requests carrying more than one).
+
+    Raises:
+        ValueError: for a negative ``deviation_count``.
     """
+    if deviation_count < 0:
+        raise ValueError(
+            f"adversary count must be >= 0, got {deviation_count}"
+        )
     strategies = None
     roles: Dict[str, Tuple[NodeId, ...]] = {}
     if mix:

@@ -58,6 +58,27 @@ class TestParser:
         assert "error:" in err and "Traceback" not in err
         assert f"argument {flag}: invalid integer {bad!r} in {value!r}" in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["simulate", "--adversary", "dropper", "--count", "-3"],
+         "--count", -3),
+        (["sweep", "--counts=-1", "--seeds", "1"], "--counts", -1),
+        (["sweep", "--counts", "0,-2", "--seeds", "1"], "--counts", -2),
+    ])
+    def test_negative_adversary_count_fails_at_the_boundary(
+            self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            f"argument {flag}: adversary count must be >= 0, got {value}"
+            in err
+        )
+
+    def test_seeds_may_be_negative(self):
+        args = build_parser().parse_args(["sweep", "--seeds=-1,2"])
+        assert args.seeds == (-1, 2)
+
     def test_sweep_int_lists_parse(self):
         args = build_parser().parse_args(
             ["sweep", "--counts", "0,5", "--seeds", "3"]
@@ -102,6 +123,19 @@ class TestCommands:
         code = main(["communities", "--trace", "infocom05", "--k", "3"])
         assert code == 0
         assert "communities" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "1", "k must be >= 2, got 1"),
+        ("--quantile", "2", "quantile must be in [0, 1), got 2.0"),
+    ])
+    def test_communities_bad_parameter_is_a_usage_error(
+            self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["communities", "--trace", "infocom05", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro communities: error: {message}" in err
+        assert "Traceback" not in err
 
     def test_simulate_command(self, capsys):
         code = main(

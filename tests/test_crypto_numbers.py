@@ -14,7 +14,6 @@ from repro.crypto.numbers import (
     is_probable_prime,
     modinv,
     random_prime,
-    random_safe_prime,
 )
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 101, 257, 7919, 104729, 2**61 - 1]
@@ -114,17 +113,6 @@ class TestRandomPrime:
         assert p % 2 == 1
 
 
-class TestSafePrime:
-    def test_safe_prime_structure(self):
-        p = random_safe_prime(32, random.Random(2))
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)
-
-    def test_too_small_raises(self):
-        with pytest.raises(ValueError):
-            random_safe_prime(4, random.Random(0))
-
-
 class TestByteCodec:
     def test_zero_encodes_to_one_byte(self):
         assert int_to_bytes(0) == b"\x00"
@@ -150,14 +138,3 @@ class TestByteCodec:
         n = bytes_to_int(data)
         assert bytes_to_int(int_to_bytes(n)) == n
 
-
-class TestDefaultGroupConsistency:
-    """The inlined DH constant must stay a safe prime (regression guard
-    against accidental edits to the literal)."""
-
-    def test_default_group_prime_regenerates(self):
-        from repro.crypto.dh import _DEFAULT_P
-
-        assert is_probable_prime(_DEFAULT_P)
-        assert is_probable_prime((_DEFAULT_P - 1) // 2)
-        assert _DEFAULT_P.bit_length() == 512

@@ -5,18 +5,16 @@ import random
 import pytest
 
 from repro.crypto.provider import (
+    MIN_KEY_BITS,
     RealCryptoProvider,
     SimulatedCryptoProvider,
 )
-from repro.crypto.schnorr import SchnorrCryptoProvider
 
 
-@pytest.fixture(params=["simulated", "real", "schnorr"])
+@pytest.fixture(params=["simulated", "real"])
 def any_provider(request):
     if request.param == "simulated":
         return SimulatedCryptoProvider(random.Random(1))
-    if request.param == "schnorr":
-        return SchnorrCryptoProvider(random.Random(1))
     return RealCryptoProvider(key_bits=384, rng=random.Random(1))
 
 
@@ -57,14 +55,6 @@ class TestProviderContract:
             pub_b
         )
 
-    def test_session_key_length(self, any_provider):
-        key = any_provider.new_session_key(random.Random(2))
-        assert len(key) == 32
-
-    def test_session_keys_fresh(self, any_provider):
-        rng = random.Random(2)
-        assert any_provider.new_session_key(rng) != any_provider.new_session_key(rng)
-
 
 class TestSimulatedSpecifics:
     def test_unknown_public_key_rejected(self):
@@ -86,3 +76,18 @@ class TestSimulatedSpecifics:
         sig = provider.sign(priv_a, b"x")
         assert provider.verify(pub_a, b"x", sig)
         assert not provider.verify(pub_b, b"x", sig)
+
+
+class TestRealKeySize:
+    """The real tier refuses, at construction, a modulus too small to
+    RSA-wrap its content key, instead of failing at the first seal."""
+
+    def test_too_small_to_wrap_rejected(self):
+        with pytest.raises(ValueError, match=str(MIN_KEY_BITS)):
+            RealCryptoProvider(key_bits=272, rng=random.Random(1))
+
+    @pytest.mark.parametrize("key_bits", [384, MIN_KEY_BITS])
+    def test_large_enough_key_wraps_content_key(self, key_bits):
+        provider = RealCryptoProvider(key_bits=key_bits, rng=random.Random(1))
+        private, public = provider.generate_keypair()
+        assert provider.decrypt(private, provider.encrypt(public, b"m")) == b"m"

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from repro.crypto.symmetric import (
     AuthenticationError,
     NONCE_SIZE,
-    SymmetricChannel,
     TAG_SIZE,
     decrypt,
     encrypt,
-    random_key,
 )
 
 
 @pytest.fixture(scope="module")
 def key():
-    return random_key(random.Random(1))
+    return random.Random(1).randbytes(32)
 
 
 class TestEncryptDecrypt:
@@ -41,7 +39,7 @@ class TestEncryptDecrypt:
 
     def test_wrong_key_raises(self, key):
         blob = encrypt(key, b"secret", random.Random(2))
-        other = random_key(random.Random(9))
+        other = random.Random(9).randbytes(32)
         with pytest.raises(AuthenticationError):
             decrypt(other, blob)
 
@@ -71,21 +69,3 @@ class TestEncryptDecrypt:
         blob = encrypt(key, data, random.Random(5))
         assert decrypt(key, blob) == data
 
-
-class TestChannel:
-    def test_seal_open(self, key):
-        channel = SymmetricChannel(key=key, rng=random.Random(3))
-        assert channel.open(channel.seal(b"wire data")) == b"wire data"
-
-    def test_cross_channel_same_key(self, key):
-        a = SymmetricChannel(key=key, rng=random.Random(3))
-        b = SymmetricChannel(key=key, rng=random.Random(4))
-        assert b.open(a.seal(b"hello")) == b"hello"
-
-    def test_cross_channel_different_key_fails(self, key):
-        a = SymmetricChannel(key=key, rng=random.Random(3))
-        b = SymmetricChannel(
-            key=random_key(random.Random(8)), rng=random.Random(4)
-        )
-        with pytest.raises(AuthenticationError):
-            b.open(a.seal(b"hello"))

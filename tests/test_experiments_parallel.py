@@ -335,3 +335,38 @@ class TestPlacement:
             seed=plain.seed,
             config=plain.config(),
         )
+
+
+class TestNegativeAdversaryCount:
+    """A negative count fails loudly instead of running an honest
+    population, on every path into :func:`expand_population`."""
+
+    def test_api_run_rejects(self):
+        from repro import api
+
+        with pytest.raises(ValueError, match="got -3"):
+            api.run(
+                "infocom05", "g2g_epidemic", TINY, seed=1,
+                adversary="dropper", adversary_count=-3,
+            )
+
+    def test_request_rejects(self):
+        bad = RunRequest(
+            "infocom05", "epidemic", "g2g_epidemic", 1,
+            deviation="dropper", deviation_count=-1,
+            overrides=tuple(sorted(TINY.items())),
+        )
+        with pytest.raises(ValueError, match="got -1"):
+            execute_request(bad)
+        with pytest.raises(ValueError, match="got -1"):
+            bad.misbehaving()
+
+    def test_series_caches_nothing(self, tmp_path):
+        options = ExecutionOptions(cache=RunCache(tmp_path / "cache"))
+        with pytest.raises(ValueError, match="got -1"):
+            run_series(
+                "infocom05", "g2g_epidemic", [-1], "dropper",
+                plan=ReplicationPlan(seeds=(1,)),
+                config_overrides=TINY, options=options,
+            )
+        assert not list((tmp_path / "cache").glob("*.json"))
