@@ -36,33 +36,19 @@ from .framework import (
     _RULE_ID,
     dotted_name,
 )
+from .rules import GLOBAL_RNG_FUNCS, WALL_CLOCK_CALLS
 
 #: Registered whole-program rules, keyed by rule id (``G2G008`` …).
 PROJECT_RULE_REGISTRY: Dict[str, Type["ProjectRule"]] = {}
 
 #: Call targets treated as nondeterminism *sinks* for taint analysis:
 #: a function whose body reaches one of these (directly or through the
-#: call graph) cannot replay bit-identically.  Mirrors the G2G001 /
-#: G2G002 target sets, but applies everywhere — exempt packages like
+#: call graph) cannot replay bit-identically.  Besides this prefix, the
+#: sinks are the G2G001 / G2G002 target sets (``GLOBAL_RNG_FUNCS``,
+#: ``WALL_CLOCK_CALLS``), but applied everywhere — exempt packages like
 #: ``perf/`` still *source* taint even though the single-file rules
 #: stay quiet there.
 SINK_PREFIXES = ("secrets.",)
-WALL_CLOCK_SINKS = frozenset({
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "os.urandom", "uuid.uuid1", "uuid.uuid4",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-GLOBAL_RNG_SINK_FUNCS = frozenset({
-    "betavariate", "choice", "choices", "expovariate", "gauss",
-    "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-    "randbytes", "randint", "random", "randrange", "sample", "seed",
-    "shuffle", "triangular", "uniform", "vonmisesvariate",
-    "weibullvariate",
-})
 
 #: Names whose ``.time`` attribute marks an event/timer object in the
 #: scheduler-discipline rule (a syntactic tripwire, like G2G003).
@@ -157,13 +143,13 @@ def _sink_target(call: ast.Call, names: Dict[str, str]) -> Optional[str]:
     target = _resolve(call.func, names)
     if target is None:
         return None
-    if target in WALL_CLOCK_SINKS:
+    if target in WALL_CLOCK_CALLS:
         return target
     if any(target.startswith(prefix) for prefix in SINK_PREFIXES):
         return target
     if target.startswith("random."):
         func = target[len("random."):]
-        if func in GLOBAL_RNG_SINK_FUNCS or func == "SystemRandom":
+        if func in GLOBAL_RNG_FUNCS or func == "SystemRandom":
             return target
         if func == "Random" and not call.args and not call.keywords:
             return "random.Random() [unseeded]"

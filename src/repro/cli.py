@@ -192,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--count", type=_count, default=0,
                           help="number of deviating nodes")
+    simulate.set_defaults(usage_error=simulate.error)
     simulate.add_argument(
         "--json", action="store_true",
         help="print the run as one JSON record (the same schema as "
@@ -370,6 +371,8 @@ def cmd_simulate(args) -> int:
     from .experiments.parallel import expand_population
     from .telemetry.export import record_line, run_record
 
+    if args.count and not args.adversary:
+        args.usage_error(f"--count {args.count} needs --adversary KIND")
     misbehaving = ()
     try:
         if args.adversary and args.count > 0:

@@ -215,11 +215,17 @@ def expand_population(
     requests carrying more than one).
 
     Raises:
-        ValueError: for a negative ``deviation_count``.
+        ValueError: for a negative ``deviation_count``, or a positive
+            one with no ``deviation`` kind, ``mix`` or ``placement``.
     """
     if deviation_count < 0:
         raise ValueError(
             f"adversary count must be >= 0, got {deviation_count}"
+        )
+    if deviation_count and deviation is None and not (mix or placement):
+        raise ValueError(
+            f"adversary count {deviation_count} given without an"
+            " adversary kind"
         )
     strategies = None
     roles: Dict[str, Tuple[NodeId, ...]] = {}

@@ -1,41 +1,19 @@
-"""Metric aggregation, paper-comparison records, and table rendering."""
+"""Metric aggregation, shape predicates, and table rendering."""
 
 from .asciichart import ascii_chart, chart_figure
-from .aggregate import (
-    Estimate,
-    aggregate,
-    costs,
-    detection_rates,
-    mean_delays,
-    success_rates,
-    summary_table,
-)
-from .compare import (
-    ComparisonReport,
-    ShapeClaim,
-    monotone_decreasing,
-    roughly_flat,
-    within_factor,
-)
-from .report import markdown_table, minutes, percent, text_table
+from .aggregate import Estimate, aggregate, detection_rates
+from .compare import monotone_decreasing, roughly_flat
+from .report import minutes, percent, text_table
 
 __all__ = [
-    "ComparisonReport",
     "ascii_chart",
     "chart_figure",
     "Estimate",
-    "ShapeClaim",
     "aggregate",
-    "costs",
     "detection_rates",
-    "markdown_table",
-    "mean_delays",
     "minutes",
     "monotone_decreasing",
     "percent",
     "roughly_flat",
-    "success_rates",
-    "summary_table",
     "text_table",
-    "within_factor",
 ]

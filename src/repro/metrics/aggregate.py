@@ -3,15 +3,14 @@
 One simulation run yields a :class:`~repro.sim.results.SimulationResults`;
 experiments average several re-seeded runs per grid point and want
 uncertainty estimates alongside the means.  This module provides the
-small statistics toolkit used by the experiment harness, the
-benchmarks, and EXPERIMENTS.md generation.
+small statistics toolkit for that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,37 +61,8 @@ def aggregate(
     return Estimate.of([metric(run) for run in runs])
 
 
-def success_rates(runs: Iterable[SimulationResults]) -> Estimate:
-    """Mean success rate across runs."""
-    return aggregate(runs, lambda r: r.success_rate)
-
-
-def mean_delays(runs: Iterable[SimulationResults]) -> Estimate:
-    """Mean delivery delay across runs (seconds)."""
-    return aggregate(runs, lambda r: r.mean_delay)
-
-
-def costs(runs: Iterable[SimulationResults]) -> Estimate:
-    """Mean replica cost across runs."""
-    return aggregate(runs, lambda r: r.cost)
-
-
 def detection_rates(
     runs: Iterable[SimulationResults], misbehaving: Sequence[int]
 ) -> Estimate:
     """Mean detection rate across runs, for a fixed adversary set."""
     return aggregate(runs, lambda r: r.detection_rate(misbehaving))
-
-
-def summary_table(
-    grouped: Dict[str, List[SimulationResults]]
-) -> Dict[str, Dict[str, Estimate]]:
-    """Aggregate the headline metrics per named group of runs."""
-    out: Dict[str, Dict[str, Estimate]] = {}
-    for label, runs in grouped.items():
-        out[label] = {
-            "success_rate": success_rates(runs),
-            "mean_delay": mean_delays(runs),
-            "cost": costs(runs),
-        }
-    return out

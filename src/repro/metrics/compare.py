@@ -1,91 +1,13 @@
-"""Paper-vs-measured comparison records.
+"""Shape predicates for paper-vs-measured comparisons.
 
 The reproduction promise (DESIGN.md §4) is about *shape*: who wins, by
-roughly what factor, which orderings hold.  :class:`ShapeClaim` encodes
-one such claim with a machine-checkable predicate, so EXPERIMENTS.md is
-generated from the same code the tests assert on.
+roughly what factor, which orderings hold.  The figure benchmarks
+assert these predicates on their measured series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
-
-
-@dataclass
-class ShapeClaim:
-    """One qualitative claim from the paper and its measured verdict.
-
-    Attributes:
-        claim_id: short handle ("fig3-monotone-infocom05", ...).
-        paper: what the paper states.
-        measured: what this reproduction measured (filled by evaluate).
-        predicate: callable deciding whether the claim holds; wired by
-            the experiment that owns the claim.
-        holds: verdict (None until evaluated).
-        note: optional divergence commentary.
-    """
-
-    claim_id: str
-    paper: str
-    predicate: Callable[[], bool]
-    measured: str = ""
-    holds: Optional[bool] = None
-    note: str = ""
-
-    def evaluate(self, measured: str, note: str = "") -> bool:
-        """Run the predicate and record the verdict."""
-        self.measured = measured
-        self.note = note
-        self.holds = bool(self.predicate())
-        return self.holds
-
-    def render(self) -> str:
-        """One markdown bullet for EXPERIMENTS.md."""
-        status = {True: "HOLDS", False: "DIVERGES", None: "UNEVALUATED"}[
-            self.holds
-        ]
-        parts = [
-            f"- **{self.claim_id}** [{status}]",
-            f"  - paper: {self.paper}",
-            f"  - measured: {self.measured or '(not evaluated)'}",
-        ]
-        if self.note:
-            parts.append(f"  - note: {self.note}")
-        return "\n".join(parts)
-
-
-@dataclass
-class ComparisonReport:
-    """A batch of shape claims for one experiment."""
-
-    experiment: str
-    claims: List[ShapeClaim] = field(default_factory=list)
-
-    def add(self, claim: ShapeClaim) -> ShapeClaim:
-        """Register a claim."""
-        self.claims.append(claim)
-        return claim
-
-    @property
-    def holding(self) -> int:
-        """Number of claims that held."""
-        return sum(1 for c in self.claims if c.holds)
-
-    @property
-    def evaluated(self) -> int:
-        """Number of evaluated claims."""
-        return sum(1 for c in self.claims if c.holds is not None)
-
-    def render(self) -> str:
-        """Markdown section for EXPERIMENTS.md."""
-        lines = [
-            f"### {self.experiment} — {self.holding}/{self.evaluated} "
-            "shape claims hold",
-            "",
-        ]
-        lines.extend(claim.render() for claim in self.claims)
-        return "\n".join(lines)
+from typing import List
 
 
 def monotone_decreasing(values: List[float], slack: float = 0.0) -> bool:
@@ -100,11 +22,3 @@ def roughly_flat(values: List[float], ratio: float = 3.0) -> bool:
     if len(positive) < 2:
         return True
     return max(positive) / min(positive) <= ratio
-
-
-def within_factor(measured: float, reference: float, factor: float) -> bool:
-    """True when ``measured`` is within ``factor``× of ``reference``."""
-    if reference == 0:
-        return measured == 0
-    ratio = measured / reference
-    return 1.0 / factor <= ratio <= factor

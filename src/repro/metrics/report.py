@@ -1,4 +1,4 @@
-"""Plain-text and markdown table rendering helpers.
+"""Plain-text table rendering helpers.
 
 Small, dependency-free formatting used by the benchmark harness when
 printing paper-shaped tables and by the examples.
@@ -28,19 +28,6 @@ def text_table(
 
     out = [line(list(headers)), line(["-" * w for w in widths])]
     out.extend(line(row) for row in materialized)
-    return "\n".join(out)
-
-
-def markdown_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render a GitHub-markdown table."""
-    out = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        out.append("| " + " | ".join(_fmt(c) for c in row) + " |")
     return "\n".join(out)
 
 

@@ -3,7 +3,6 @@
 from .base import (
     ForwardingProtocol,
     SimulationContext,
-    exchange_pairs,
     make_room,
 )
 from .delegation import DelegationForwarding
@@ -16,6 +15,5 @@ __all__ = [
     "ForwardingProtocol",
     "QualityTracker",
     "SimulationContext",
-    "exchange_pairs",
     "make_room",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Protocol, Set
 
 import random
 
@@ -235,11 +235,6 @@ class ForwardingProtocol(ABC):
         assert self.ctx is not None
         for node in self.ctx.nodes.values():
             node.flush(now, self.ctx.results)
-
-
-def exchange_pairs(a: NodeId, b: NodeId) -> Tuple[Tuple[NodeId, NodeId], ...]:
-    """Both directed orderings of a contact, deterministic order."""
-    return ((a, b), (b, a))
 
 
 def make_room(ctx: SimulationContext, node: NodeState, now: float) -> None:

@@ -20,7 +20,6 @@ from .matrix import (
     MATRIX_COLUMNS,
     MATRIX_SCHEMA_VERSION,
     build_matrix,
-    class_columns,
     load_matrix,
     matrix_digest,
     render_matrix,
@@ -45,7 +44,6 @@ __all__ = [
     "ScenarioSpec",
     "build_matrix",
     "churn_events_for",
-    "class_columns",
     "energy_budgets_for",
     "load_matrix",
     "matrix_digest",

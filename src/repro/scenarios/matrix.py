@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 #: Bump when row fields change incompatibly.
 MATRIX_SCHEMA_VERSION = 1
@@ -106,11 +106,3 @@ def render_matrix(matrix: Dict[str, Any]) -> str:
             f" {row['total_energy']:>10.2f}"
         )
     return "\n".join(lines)
-
-
-def class_columns(matrix: Dict[str, Any]) -> List[str]:
-    """Sorted union of the per-class columns across every row."""
-    names = set()
-    for row in matrix["rows"]:
-        names.update(name for name in row if name.startswith("class."))
-    return sorted(names)

@@ -7,7 +7,7 @@ from .messages import Message, StoredCopy
 from .node import NodeState
 from .results import DetectionRecord, MessageRecord, SimulationResults
 from .serialize import results_from_dict, results_to_dict
-from .traffic import PoissonTraffic, TrafficDemand, demands_to_messages
+from .traffic import PoissonTraffic, TrafficDemand
 
 __all__ = [
     "ChurnEvent",
@@ -30,7 +30,6 @@ __all__ = [
     "TimerOwner",
     "TrafficDemand",
     "config_for",
-    "demands_to_messages",
     "results_from_dict",
     "results_to_dict",
     "run_simulation",

@@ -14,7 +14,6 @@ from typing import Iterator, List, Sequence
 
 from ..traces.trace import NodeId
 from .config import SimulationConfig
-from .messages import Message
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,3 @@ class PoissonTraffic:
     def plan(self) -> List[TrafficDemand]:
         """Materialize the full demand list."""
         return list(self.demands())
-
-
-def demands_to_messages(
-    demands: Sequence[TrafficDemand], config: SimulationConfig
-) -> List[Message]:
-    """Instantiate :class:`Message` objects for a demand plan."""
-    return [
-        Message(
-            msg_id=i,
-            source=d.source,
-            destination=d.destination,
-            created_at=d.time,
-            ttl=config.ttl,
-            size_bytes=config.message_size,
-        )
-        for i, d in enumerate(demands)
-    ]

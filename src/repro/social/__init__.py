@@ -1,31 +1,16 @@
-"""Social structure layer: contact graphs, communities, centrality."""
+"""Social structure layer: contact graphs and k-clique communities."""
 
-from .centrality import (
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-    rank_nodes,
-)
 from .communities import (
     CommunityMap,
     bron_kerbosch_maximal_cliques,
     k_clique_communities,
 )
-from .graph import (
-    ContactGraph,
-    connected_components,
-    top_quantile_graph,
-)
+from .graph import ContactGraph, top_quantile_graph
 
 __all__ = [
     "CommunityMap",
     "ContactGraph",
-    "betweenness_centrality",
     "bron_kerbosch_maximal_cliques",
-    "closeness_centrality",
-    "connected_components",
-    "degree_centrality",
     "k_clique_communities",
-    "rank_nodes",
     "top_quantile_graph",
 ]

@@ -12,7 +12,7 @@ or the total contact duration of the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from ..traces.trace import ContactTrace, NodeId
 
@@ -111,24 +111,3 @@ def top_quantile_graph(
     durations = sorted(d for _, d in graph.edges.values())
     cut = durations[int(quantile * len(durations))]
     return graph.thresholded(min_duration=cut)
-
-
-def connected_components(graph: ContactGraph) -> List[Set[NodeId]]:
-    """Connected components of the (thresholded) graph."""
-    adjacency = graph.adjacency()
-    seen: Set[NodeId] = set()
-    components: List[Set[NodeId]] = []
-    for start in graph.nodes:
-        if start in seen:
-            continue
-        stack = [start]
-        component: Set[NodeId] = set()
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(adjacency[node] - component)
-        seen.update(component)
-        components.append(component)
-    return components

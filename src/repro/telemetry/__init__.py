@@ -31,7 +31,6 @@ from .registry import (
 )
 from .run import RunTelemetry, merge_run_snapshots
 from .spans import (
-    ALL_SPANS,
     SPAN_DESTINATION_TEST,
     SPAN_POM,
     SPAN_RELAY_HANDSHAKE,
@@ -40,7 +39,6 @@ from .spans import (
 )
 
 __all__ = [
-    "ALL_SPANS",
     "Counter",
     "DEFAULT_TIME_BUCKETS",
     "Gauge",

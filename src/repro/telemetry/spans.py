@@ -37,13 +37,6 @@ SPAN_SENDER_TEST = "sender_test"
 SPAN_DESTINATION_TEST = "destination_test"
 SPAN_POM = "pom_eviction"
 
-ALL_SPANS: Tuple[str, ...] = (
-    SPAN_RELAY_HANDSHAKE,
-    SPAN_SENDER_TEST,
-    SPAN_DESTINATION_TEST,
-    SPAN_POM,
-)
-
 #: Perf-counter fields whose per-span deltas are worth attributing to
 #: a protocol phase.  A subset of ``repro.perf.FIELDS``: the expensive
 #: crypto/wire operations.

@@ -12,22 +12,11 @@ from .mobility import (
     lab_config,
     simulate_mobility,
 )
-from .fitting import (
-    ExponentialFit,
-    ParetoTailFit,
-    TraceDistributionReport,
-    analyze_trace,
-    empirical_ccdf,
-    fit_exponential,
-    fit_pareto_tail,
-    ks_distance,
-)
 from .io import (
     TraceFormatError,
     dump_trace,
     iter_chunked_contacts,
     load_trace,
-    load_trace_with_universe,
     parse_trace,
     read_chunked_universe,
     save_trace,
@@ -46,7 +35,6 @@ from .stats import (
     SummaryStats,
     TraceProfile,
     contact_durations,
-    contact_rate_matrix,
     contacts_per_pair,
     inter_contact_times,
     pairwise_contacts,
@@ -74,7 +62,6 @@ from .trace import (
     NodeId,
     ensure_contact_trace,
     make_contact,
-    merge_traces,
 )
 from .windows import (
     SILENT_TAIL,
@@ -108,32 +95,22 @@ __all__ = [
     "TraceProfile",
     "active_windows",
     "busiest_window",
-    "analyze_trace",
     "cambridge06",
     "contact_durations",
-    "contact_rate_matrix",
     "contacts_per_pair",
     "dump_trace",
-    "empirical_ccdf",
     "ensure_contact_source",
     "ensure_contact_trace",
-    "ExponentialFit",
-    "fit_exponential",
-    "fit_pareto_tail",
     "generate",
     "infocom05",
     "inter_contact_times",
     "iter_chunked_contacts",
-    "ks_distance",
     "lab_config",
     "load_trace",
-    "load_trace_with_universe",
     "make_contact",
-    "merge_traces",
     "MobilityConfig",
     "MobilitySimulator",
     "pairwise_contacts",
-    "ParetoTailFit",
     "parse_trace",
     "read_chunked_universe",
     "reencounter_probability",
@@ -142,6 +119,5 @@ __all__ = [
     "source_from_spec",
     "standard_window",
     "trace_by_name",
-    "TraceDistributionReport",
     "write_chunked_contacts",
 ]

@@ -6,11 +6,14 @@ separated contact tables.  We read the common layout::
 
     <node_a> <node_b> <start_seconds> <end_seconds> [ignored columns...]
 
-Lines starting with ``#`` (or blank) are skipped.  Writing emits the
-same four columns, so traces round-trip exactly.  When the genuine
-CRAWDAD files are available they load through :func:`load_trace`
-unchanged; the shipped experiments use the synthetic stand-ins from
-:mod:`repro.traces.synthetic` (see DESIGN.md §3).
+Lines starting with ``#`` (or blank) are skipped, except the
+``# nodes:`` header that :func:`dump_trace` writes: its ids join the
+node universe, so nodes without contacts survive a round-trip.
+Writing emits the same four columns, so traces round-trip exactly.
+When the genuine CRAWDAD files are available they load through
+:func:`load_trace` unchanged; the shipped experiments use the
+synthetic stand-ins from :mod:`repro.traces.synthetic` (see DESIGN.md
+§3).
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from typing import Iterable, Iterator, List, Sequence, Union
 from .trace import Contact, ContactTrace, make_contact
 
 PathLike = Union[str, Path]
+
+
+#: The header comment listing the node universe (see :func:`dump_trace`).
+_NODES_HEADER = "# nodes:"
 
 
 class TraceFormatError(Exception):
@@ -41,12 +48,18 @@ def parse_trace(
             (some raw traces contain zero-length artifacts).
 
     Raises:
-        TraceFormatError: on malformed rows.
+        TraceFormatError: on a malformed row or node header.
     """
     contacts: List[Contact] = []
     nodes: set = set()
     for lineno, raw in enumerate(_io.StringIO(text), start=1):
         line = raw.strip()
+        if line.startswith(_NODES_HEADER):
+            try:
+                nodes.update(int(n) for n in line[len(_NODES_HEADER) :].split())
+            except ValueError as err:
+                raise TraceFormatError(f"line {lineno}: {err}") from err
+            continue
         if not line or line.startswith("#"):
             continue
         fields = line.split()
@@ -89,7 +102,7 @@ def dump_trace(trace: ContactTrace) -> str:
     """
     lines = [
         f"# trace: {trace.name}",
-        f"# nodes: {' '.join(str(n) for n in trace.nodes)}",
+        f"{_NODES_HEADER} {' '.join(str(n) for n in trace.nodes)}",
         "# a b start end",
     ]
     for contact in trace.contacts:
@@ -104,30 +117,6 @@ def dump_trace(trace: ContactTrace) -> str:
 def save_trace(trace: ContactTrace, path: PathLike) -> None:
     """Write a trace to disk in the text format."""
     Path(path).write_text(dump_trace(trace))
-
-
-def parse_node_header(text: str) -> Iterable[int]:
-    """Extract the ``# nodes:`` header written by :func:`dump_trace`."""
-    for raw in _io.StringIO(text):
-        line = raw.strip()
-        if line.startswith("# nodes:"):
-            return [int(tok) for tok in line[len("# nodes:") :].split()]
-    return []
-
-
-def load_trace_with_universe(path: PathLike, name: str | None = None) -> ContactTrace:
-    """Load a trace, restoring contact-less nodes from the header."""
-    path = Path(path)
-    text = path.read_text()
-    trace = parse_trace(text, name=name if name is not None else path.stem)
-    header_nodes = set(parse_node_header(text))
-    if header_nodes:
-        return ContactTrace(
-            name=trace.name,
-            nodes=tuple(header_nodes | set(trace.nodes)),
-            contacts=trace.contacts,
-        )
-    return trace
 
 
 # ---------------------------------------------------------------------------

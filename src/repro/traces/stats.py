@@ -15,7 +15,7 @@ properties).  These statistics serve two purposes here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence
 
 import numpy as np
 
@@ -159,18 +159,3 @@ class TraceProfile:
             f"{self.mean_contacts_per_hour_per_node:.1f} contacts/node/hour",
         ]
         return "\n".join(lines)
-
-
-def contact_rate_matrix(trace: ContactTrace) -> Tuple[np.ndarray, Dict[NodeId, int]]:
-    """Per-pair contact counts as a dense symmetric matrix.
-
-    Returns:
-        ``(matrix, index)`` where ``index`` maps node id to row/column.
-    """
-    index = {node: i for i, node in enumerate(trace.nodes)}
-    matrix = np.zeros((len(index), len(index)), dtype=float)
-    for contact in trace.contacts:
-        i, j = index[contact.a], index[contact.b]
-        matrix[i, j] += 1
-        matrix[j, i] += 1
-    return matrix, index

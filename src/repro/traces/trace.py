@@ -237,13 +237,3 @@ def ensure_contact_trace(trace: object, caller: str) -> ContactTrace:
         f"{caller} expects a ContactTrace, got"
         f" {type(trace).__name__}{detail}"
     )
-
-
-def merge_traces(name: str, traces: Sequence[ContactTrace]) -> ContactTrace:
-    """Union several traces over a shared node universe."""
-    nodes: set = set()
-    contacts: List[Contact] = []
-    for trace in traces:
-        nodes.update(trace.nodes)
-        contacts.extend(trace.contacts)
-    return ContactTrace(name=name, nodes=tuple(nodes), contacts=tuple(contacts))

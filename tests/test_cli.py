@@ -75,6 +75,14 @@ class TestParser:
             in err
         )
 
+    def test_count_without_adversary_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--count", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--count 5 needs --adversary KIND" in err
+        assert "Traceback" not in err
+
     def test_seeds_may_be_negative(self):
         args = build_parser().parse_args(["sweep", "--seeds=-1,2"])
         assert args.seeds == (-1, 2)

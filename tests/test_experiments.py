@@ -136,10 +136,3 @@ class TestFigureData:
         s = Series(label="a")
         s.add(1.0, 2.0)
         assert s.as_rows() == [(1.0, 2.0)]
-
-
-class TestExchangePairs:
-    def test_both_directions(self):
-        from repro.protocols import exchange_pairs
-
-        assert exchange_pairs(3, 9) == ((3, 9), (9, 3))

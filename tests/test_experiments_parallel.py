@@ -29,6 +29,7 @@ from repro.experiments import (
     run_requests,
     run_series,
 )
+from repro.experiments.parallel import expand_population
 from repro.sim.serialize import results_digest, results_to_dict
 
 #: Short, light runs: a quarter of the evaluation window, sparse
@@ -370,3 +371,19 @@ class TestNegativeAdversaryCount:
                 config_overrides=TINY, options=options,
             )
         assert not list((tmp_path / "cache").glob("*.json"))
+
+
+class TestAdversaryCountWithoutKind:
+    """A count with no kind, mix or placement fails instead of running
+    the honest population."""
+
+    def test_api_run_rejects(self):
+        from repro import api
+
+        with pytest.raises(ValueError, match="without an adversary kind"):
+            api.run("infocom05", "g2g_epidemic", TINY, seed=1,
+                    adversary_count=5)
+
+    def test_expansion_rejects(self):
+        with pytest.raises(ValueError, match="count 2 given without"):
+            expand_population(range(10), 1, None, deviation_count=2)

@@ -1,20 +1,16 @@
-"""Tests for the metrics aggregation / comparison / report toolkit."""
+"""Tests for the metrics aggregation / shape predicate / report toolkit."""
 
 import pytest
 
 from repro.metrics import (
-    ComparisonReport,
     Estimate,
-    ShapeClaim,
-    markdown_table,
     minutes,
     monotone_decreasing,
     percent,
     roughly_flat,
     text_table,
-    within_factor,
 )
-from repro.metrics.aggregate import aggregate, success_rates
+from repro.metrics.aggregate import aggregate
 from repro.sim.messages import Message
 from repro.sim.results import SimulationResults
 
@@ -54,96 +50,10 @@ class TestEstimate:
 
 
 class TestAggregate:
-    def test_success_rates(self):
-        runs = [run_with_success(0.4), run_with_success(0.6)]
-        e = success_rates(runs)
-        assert e.mean == pytest.approx(0.5)
-
     def test_custom_metric(self):
         runs = [run_with_success(0.4), run_with_success(0.6)]
         e = aggregate(runs, lambda r: float(r.generated))
         assert e.mean == 10.0
-
-
-class TestShapeClaims:
-    def test_holds(self):
-        claim = ShapeClaim(
-            claim_id="x", paper="a > b", predicate=lambda: True
-        )
-        assert claim.evaluate("measured a > b")
-        assert claim.holds
-        assert "HOLDS" in claim.render()
-
-    def test_diverges(self):
-        claim = ShapeClaim(
-            claim_id="x", paper="a > b", predicate=lambda: False
-        )
-        claim.evaluate("measured a < b", note="traces differ")
-        assert "DIVERGES" in claim.render()
-        assert "traces differ" in claim.render()
-
-    def test_report_counts(self):
-        report = ComparisonReport(experiment="fig9")
-        c1 = report.add(
-            ShapeClaim(claim_id="a", paper="p", predicate=lambda: True)
-        )
-        c2 = report.add(
-            ShapeClaim(claim_id="b", paper="p", predicate=lambda: False)
-        )
-        c1.evaluate("m")
-        c2.evaluate("m")
-        assert report.holding == 1
-        assert report.evaluated == 2
-        assert "1/2" in report.render()
-
-
-class TestPredicates:
-    def test_monotone_decreasing(self):
-        assert monotone_decreasing([5.0, 4.0, 4.0, 1.0])
-        assert not monotone_decreasing([5.0, 6.0, 4.0])
-        assert monotone_decreasing([5.0, 5.5, 4.0], slack=0.6)
-
-    def test_roughly_flat(self):
-        assert roughly_flat([10.0, 12.0, 9.0])
-        assert not roughly_flat([1.0, 10.0])
-        assert roughly_flat([0.0, 0.0])  # vacuous
-
-    def test_within_factor(self):
-        assert within_factor(10.0, 12.0, 1.5)
-        assert not within_factor(10.0, 30.0, 1.5)
-        assert within_factor(0.0, 0.0, 2.0)
-        assert not within_factor(1.0, 0.0, 2.0)
-
-
-class TestRendering:
-    def test_text_table_aligned(self):
-        table = text_table(["name", "value"], [["a", 1.5], ["bb", 2.0]])
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert lines[0].index("value") == lines[2].index("1.50")
-
-    def test_markdown_table(self):
-        table = markdown_table(["x", "y"], [[1.0, 2.0]])
-        assert table.splitlines()[1] == "|---|---|"
-        assert "| 1.00 | 2.00 |" in table
-
-    def test_formatters(self):
-        assert minutes(90.0) == "1.5m"
-        assert percent(0.125) == "12.5%"
-
-
-class TestSummaryTable:
-    def test_grouped_aggregation(self):
-        from repro.metrics import summary_table
-
-        grouped = {
-            "a": [run_with_success(0.4), run_with_success(0.6)],
-            "b": [run_with_success(1.0)],
-        }
-        table = summary_table(grouped)
-        assert table["a"]["success_rate"].mean == pytest.approx(0.5)
-        assert table["b"]["success_rate"].mean == pytest.approx(1.0)
-        assert set(table["a"]) == {"success_rate", "mean_delay", "cost"}
 
     def test_detection_rates_estimate(self):
         from repro.metrics import detection_rates
@@ -158,3 +68,27 @@ class TestSummaryTable:
         )
         estimate = detection_rates([run], misbehaving=[7, 8])
         assert estimate.mean == pytest.approx(0.5)
+
+
+class TestPredicates:
+    def test_monotone_decreasing(self):
+        assert monotone_decreasing([5.0, 4.0, 4.0, 1.0])
+        assert not monotone_decreasing([5.0, 6.0, 4.0])
+        assert monotone_decreasing([5.0, 5.5, 4.0], slack=0.6)
+
+    def test_roughly_flat(self):
+        assert roughly_flat([10.0, 12.0, 9.0])
+        assert not roughly_flat([1.0, 10.0])
+        assert roughly_flat([0.0, 0.0])  # vacuous
+
+
+class TestRendering:
+    def test_text_table_aligned(self):
+        table = text_table(["name", "value"], [["a", 1.5], ["bb", 2.0]])
+        lines = table.splitlines()
+        assert len(lines) == 4
+        assert lines[0].index("value") == lines[2].index("1.50")
+
+    def test_formatters(self):
+        assert minutes(90.0) == "1.5m"
+        assert percent(0.125) == "12.5%"

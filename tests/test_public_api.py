@@ -2,9 +2,17 @@
 
 Breaking any assertion here means a compatibility break for downstream
 users — change it deliberately, with a changelog entry, or not at all.
+The subpackage check keeps the library no larger than what the
+reproduction calls: every ``repro.<subpackage>.__all__`` name needs a
+user outside the tests.
 """
 
+import ast
+import importlib
 import inspect
+import pathlib
+import pkgutil
+import re
 
 import repro
 from repro import api
@@ -132,3 +140,96 @@ class TestLegacyEntryPoints:
         assert repro.api is api
         assert callable(repro.api.run)
         assert callable(repro.api.sweep)
+
+
+#: Trees whose code counts as reaching the library.  Tests do not: a
+#: name that only its own test calls is a name nothing needs.
+REACHING_TREES = ("src/repro", "benchmarks", "perfbench", "examples")
+
+#: Subpackage exports kept although only tests reference them.
+UNREACHED_EXEMPT = {
+    # The one-proof check the PoR tests call; runs check proofs in bulk.
+    "core.verify_proof_of_relay",
+    # The string-input linter entry the rule tests drive without files.
+    "analysis.lint_source",
+    # The paper's Sec. V config for one run, which experiment tests build.
+    "experiments.standard_config",
+    # Fig. 1/2 message formats whose payload encodings test_core_wire pins.
+    "core.RelayRequest",
+    "core.RelayAccept",
+    "core.StorageChallenge",
+}
+
+
+def _bound_names(stmt):
+    """Names a top-level statement binds (def, class, assignment, import)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return {(a.asname or a.name).split(".")[0] for a in stmt.names}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    }
+
+
+def _referenced_words():
+    """Every word in the reaching trees outside the statement binding it.
+
+    A word-boundary scan: a name written only inside its own definition
+    (a recursive call, the import that binds it) does not count, and
+    package ``__init__`` files, which only re-export, are skipped.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    used = set()
+    for tree in REACHING_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            if tree == "src/repro" and path.name == "__init__.py":
+                continue
+            source = path.read_text(encoding="utf-8")
+            own = set()
+            for stmt in ast.parse(source).body:
+                first = min(
+                    [stmt.lineno]
+                    + [d.lineno for d in getattr(stmt, "decorator_list", ())]
+                )
+                for name in _bound_names(stmt):
+                    own.update(
+                        (name, line) for line in range(first, stmt.end_lineno + 1)
+                    )
+            for line, text in enumerate(source.splitlines(), start=1):
+                used.update(
+                    word
+                    for word in re.findall(r"\w+", text)
+                    if (word, line) not in own
+                )
+    return used
+
+
+class TestSubpackageSurface:
+    def test_every_export_is_reached(self):
+        used = _referenced_words()
+        exported = set()
+        unreached = []
+        for info in pkgutil.iter_modules(repro.__path__):
+            if not info.ispkg:
+                continue
+            package = importlib.import_module(f"repro.{info.name}")
+            for name in getattr(package, "__all__", ()):
+                key = f"{info.name}.{name}"
+                exported.add(key)
+                if name not in used and key not in UNREACHED_EXEMPT:
+                    unreached.append(key)
+        assert unreached == [], (
+            "exported but reached only by tests; delete them or use them: "
+            f"{sorted(unreached)}"
+        )
+        assert UNREACHED_EXEMPT <= exported, "stale exemption"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import SimulationConfig
-from repro.sim.traffic import PoissonTraffic, demands_to_messages
+from repro.sim.traffic import PoissonTraffic
 
 
 def config(**overrides):
@@ -67,16 +67,3 @@ class TestPoissonTraffic:
         plan = PoissonTraffic(nodes, config(seed=seed)).plan()
         for d in plan:
             assert d.source in nodes and d.destination in nodes
-
-
-class TestDemandsToMessages:
-    def test_instantiation(self):
-        cfg = config(ttl=900.0, message_size=512)
-        plan = PoissonTraffic((0, 1, 2), cfg).plan()[:5]
-        messages = demands_to_messages(plan, cfg)
-        assert len(messages) == 5
-        assert [m.msg_id for m in messages] == list(range(5))
-        for demand, message in zip(plan, messages):
-            assert message.created_at == demand.time
-            assert message.ttl == 900.0
-            assert message.size_bytes == 512

@@ -1,10 +1,6 @@
 """Tests for contact-graph aggregation."""
 
-from repro.social import (
-    ContactGraph,
-    connected_components,
-    top_quantile_graph,
-)
+from repro.social import ContactGraph, top_quantile_graph
 from repro.traces import ContactTrace, make_contact
 
 
@@ -76,16 +72,3 @@ class TestTopQuantile:
     def test_empty_trace(self):
         empty = ContactTrace(name="e", nodes=(0, 1), contacts=())
         assert top_quantile_graph(empty).num_edges == 0
-
-
-class TestComponents:
-    def test_components(self):
-        g = ContactGraph.from_trace(sample_trace())
-        comps = connected_components(g)
-        sizes = sorted(len(c) for c in comps)
-        assert sizes == [1, 4]  # node 9 isolated
-
-    def test_fully_disconnected(self):
-        trace = ContactTrace(name="d", nodes=(0, 1, 2), contacts=())
-        comps = connected_components(ContactGraph.from_trace(trace))
-        assert len(comps) == 3

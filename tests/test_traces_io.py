@@ -6,7 +6,6 @@ from repro.traces import (
     TraceFormatError,
     dump_trace,
     load_trace,
-    load_trace_with_universe,
     make_contact,
     parse_trace,
     save_trace,
@@ -80,20 +79,15 @@ class TestRoundtrip:
     def test_universe_header_restores_isolated_nodes(self, tmp_path):
         trace = ContactTrace(
             name="u",
-            nodes=(0, 1, 7),
+            nodes=(0, 1, 2, 7),
             contacts=(make_contact(0, 1, 0.0, 1.0),),
         )
         path = tmp_path / "u.txt"
         save_trace(trace, path)
-        loaded = load_trace_with_universe(path)
-        assert 7 in loaded.nodes
+        loaded = load_trace(path)
+        assert loaded.nodes == (0, 1, 2, 7)
+        assert loaded.contacts == trace.contacts
 
-    def test_plain_load_drops_isolated_nodes(self, tmp_path):
-        trace = ContactTrace(
-            name="u",
-            nodes=(0, 1, 7),
-            contacts=(make_contact(0, 1, 0.0, 1.0),),
-        )
-        path = tmp_path / "u.txt"
-        save_trace(trace, path)
-        assert 7 not in load_trace(path).nodes
+    def test_bad_universe_header(self):
+        with pytest.raises(TraceFormatError, match="line 1"):
+            parse_trace("# nodes: 0 x\n0 1 0 1\n")

@@ -7,7 +7,6 @@ from repro.traces import (
     SummaryStats,
     TraceProfile,
     contact_durations,
-    contact_rate_matrix,
     contacts_per_pair,
     inter_contact_times,
     make_contact,
@@ -82,7 +81,7 @@ class TestReencounter:
         assert reencounter_probability(trace, within=60.0) == 0.0
 
 
-class TestProfileAndMatrix:
+class TestProfile:
     def test_profile(self, line_trace):
         profile = TraceProfile.of(line_trace)
         assert profile.num_nodes == 4
@@ -90,10 +89,3 @@ class TestProfileAndMatrix:
         assert profile.distinct_pairs == 3
         assert 0 < profile.pair_coverage <= 1
         assert "trace line" in profile.describe()
-
-    def test_matrix_symmetry(self, line_trace):
-        matrix, index = contact_rate_matrix(line_trace)
-        assert matrix.shape == (4, 4)
-        assert (matrix == matrix.T).all()
-        assert matrix[index[0], index[1]] == 2
-        assert matrix[index[0], index[3]] == 0

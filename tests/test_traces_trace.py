@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.traces import Contact, ContactTrace, make_contact, merge_traces
+from repro.traces import Contact, ContactTrace, make_contact
 
 
 class TestContact:
@@ -132,11 +132,6 @@ class TestContactTrace:
         assert r.nodes == (0, 1, 2)
         assert all(c.a in (0, 1, 2) and c.b in (0, 1, 2) for c in r)
         assert len(r) == 4
-
-    def test_merge(self, pair_trace, line_trace):
-        merged = merge_traces("m", [pair_trace, line_trace])
-        assert merged.num_nodes == 4
-        assert len(merged) == len(pair_trace) + len(line_trace)
 
     def test_nodes_deduplicated_and_sorted(self):
         trace = ContactTrace(name="t", nodes=(3, 1, 3, 2), contacts=())

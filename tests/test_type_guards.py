@@ -14,7 +14,6 @@ from repro.experiments.parallel import RunRequest, execute_request, run_requests
 from repro.traces import EvaluationWindow, ensure_contact_trace
 from repro.traces.presets import trace_by_name
 from repro.traces.synthetic import SyntheticTrace
-from repro.traces.validate import repair_trace, validate_trace
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +41,6 @@ class TestEnsureContactTrace:
 
 
 class TestGuardedEntryPoints:
-    def test_validate_trace_rejects_bundle(self, bundle):
-        with pytest.raises(TypeError, match=r"validate_trace .*\.trace attribute"):
-            validate_trace(bundle)
-        assert validate_trace(bundle.trace) is not None
-
-    def test_repair_trace_rejects_bundle(self, bundle):
-        with pytest.raises(TypeError, match=r"repair_trace .*\.trace attribute"):
-            repair_trace(bundle)
-        repaired = repair_trace(bundle.trace)
-        assert repaired.nodes == bundle.trace.nodes
-
     def test_evaluation_window_slice_rejects_bundle(self, bundle):
         window = EvaluationWindow(start=0.0, length=1000.0)
         with pytest.raises(
