@@ -60,6 +60,11 @@ from .proofs import (
 )
 from .wire import CONTROL_MESSAGE_SIZE, ProofOfRelay, SealedMessage
 
+#: ``cast`` targets, built once: subscripting a generic alias per call
+#: costs more than the cast itself.
+_StoredCopies = List[StoredCopy]
+_MaybeCopy = Optional[StoredCopy]
+
 #: A per-node deadline queue: a sorted ``array('d')`` of deadlines and
 #: the parallel list of message ids, maintained with ``bisect``.  The
 #: Δ2 purges used to be one scheduler timer per stored copy / audit
@@ -375,7 +380,7 @@ class Give2GetBase(ForwardingProtocol):
             if now > deadline:
                 del taken[msg_id]
                 continue
-            copy = cast(Optional[StoredCopy], node.buffer.get(msg_id))
+            copy = cast(_MaybeCopy, node.buffer.get(msg_id))
             if copy is None:
                 pending.add(giver)
             elif node.body_dropped(msg_id) and len(copy.proofs) < fanout:
@@ -449,9 +454,7 @@ class Give2GetBase(ForwardingProtocol):
         order and the run bit-identical.
         """
         # G2G stores only StoredCopy, so every candidate is one.
-        candidates = cast(
-            List[StoredCopy], giver.relay_candidates(now, taker.seen)
-        )
+        candidates = cast(_StoredCopies, giver.relay_candidates(now, taker.seen))
         if not candidates:
             return
         giver_id = giver.node_id
@@ -713,7 +716,7 @@ class Give2GetBase(ForwardingProtocol):
         results = ctx.results
         message = record.message
         results.test_phases += 1
-        copy = cast(Optional[StoredCopy], peer.buffer.get(message.msg_id))
+        copy = cast(_MaybeCopy, peer.buffer.get(message.msg_id))
         proofs = list(copy.proofs) if copy is not None else []
         source_identity = self.identities[source.node_id]
         if len(proofs) >= ctx.config.relay_fanout:

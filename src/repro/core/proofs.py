@@ -85,6 +85,21 @@ def open_message(recipient: NodeIdentity, sealed: SealedMessage) -> tuple:
     return int(source_repr), int(msg_id_repr), body
 
 
+# The PoR slots' member descriptors: ``__set__`` writes past the frozen
+# ``__setattr__`` without going through ``object.__setattr__``.
+(
+    _set_msg_hash, _set_giver, _set_taker, _set_quality_subject,
+    _set_message_quality, _set_taker_quality, _set_signed_at,
+    _set_signature, _set_payload,
+) = (
+    ProofOfRelay.__dict__[name].__set__
+    for name in (
+        "msg_hash", "giver", "taker", "quality_subject", "message_quality",
+        "taker_quality", "signed_at", "signature", "_payload",
+    )
+)
+
+
 def make_proof_of_relay(
     taker: NodeIdentity,
     msg_hash: bytes,
@@ -97,12 +112,12 @@ def make_proof_of_relay(
     """Sign a PoR as the taker of a message.
 
     One PoR is built per hand-off — the hottest allocation in a G2G
-    run — so the instance is assembled by filling its slots directly
-    instead of going through the frozen-dataclass ``__init__``.  The
-    result is indistinguishable from a normally constructed instance:
-    equality, hashing, ``repr`` and ``dataclasses.replace`` all read
-    the same attributes, and ``ProofOfRelay`` defines no
-    ``__post_init__``.
+    run — so the instance is assembled by filling its slots through
+    their member descriptors instead of going through the
+    frozen-dataclass ``__init__``.  The result is indistinguishable
+    from a normally constructed instance: equality, hashing, ``repr``
+    and ``dataclasses.replace`` all read the same attributes, and
+    ``ProofOfRelay`` defines no ``__post_init__``.
 
     The signed payload is encoded inline, byte-for-byte identical to
     :meth:`ProofOfRelay.payload`, and pre-seeded into the encoding
@@ -125,18 +140,15 @@ def make_proof_of_relay(
         repr(now).encode(),
     ))
     por = ProofOfRelay.__new__(ProofOfRelay)
-    setattr_ = object.__setattr__
-    setattr_(por, "msg_hash", msg_hash)
-    setattr_(por, "giver", giver)
-    setattr_(por, "taker", taker_id)
-    setattr_(por, "quality_subject", quality_subject)
-    setattr_(por, "message_quality", message_quality)
-    setattr_(por, "taker_quality", taker_quality)
-    setattr_(por, "signed_at", now)
-    setattr_(
-        por, "signature", taker.provider.sign(taker.private_key, payload)
-    )
-    setattr_(por, "_payload", payload)
+    _set_msg_hash(por, msg_hash)
+    _set_giver(por, giver)
+    _set_taker(por, taker_id)
+    _set_quality_subject(por, quality_subject)
+    _set_message_quality(por, message_quality)
+    _set_taker_quality(por, taker_quality)
+    _set_signed_at(por, now)
+    _set_signature(por, taker.provider.sign(taker.private_key, payload))
+    _set_payload(por, payload)
     return por
 
 

@@ -131,7 +131,8 @@ class SimulationContext:
         """Peers currently in contact with ``node_id`` (participating)."""
         for pair in self.active_contacts:
             if node_id in pair:
-                (peer,) = pair - {node_id}
+                a, b = pair
+                peer = b if a == node_id else a
                 if self.nodes[peer].participating:
                     yield peer
 

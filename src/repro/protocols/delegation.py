@@ -23,6 +23,10 @@ from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
 from .quality import FRAME_TIMER_TAG, QualityTracker
 
+#: ``cast`` targets, built once: subscripting a generic alias per call
+#: costs more than the cast itself.
+_Messages = List[Message]
+
 
 class DelegationForwarding(ForwardingProtocol):
     """Quality-gated replication, Destination Frequency / Last Contact."""
@@ -111,9 +115,7 @@ class DelegationForwarding(ForwardingProtocol):
         """Run the delegation rule on every live copy ``taker`` lacks."""
         results = self.ctx.results
         # Baselines buffer the shared message itself.
-        candidates = cast(
-            List[Message], giver.relay_candidates(now, taker.seen)
-        )
+        candidates = cast(_Messages, giver.relay_candidates(now, taker.seen))
         if not candidates:
             return
         labels = self._labels_of(giver.node_id)

@@ -21,6 +21,10 @@ from ..sim.node import NodeState
 from ..traces.trace import NodeId
 from .base import ForwardingProtocol, make_room
 
+#: ``cast`` targets, built once: subscripting a generic alias per call
+#: costs more than the cast itself.
+_Messages = List[Message]
+
 
 class EpidemicForwarding(ForwardingProtocol):
     """Flood every live message to every node that has not seen it."""
@@ -56,9 +60,7 @@ class EpidemicForwarding(ForwardingProtocol):
         expressions, so the ledger floats are unchanged.
         """
         # Baselines buffer the shared message itself.
-        candidates = cast(
-            List[Message], giver.relay_candidates(now, taker.seen)
-        )
+        candidates = cast(_Messages, giver.relay_candidates(now, taker.seen))
         if not candidates:
             return
         ctx = self.ctx

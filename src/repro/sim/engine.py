@@ -37,7 +37,7 @@ from ..traces.stream import ContactSource, ensure_contact_source
 from ..traces.trace import ContactTrace, NodeId
 from .config import SimulationConfig
 from .eventlog import EventLog, EventType
-from .events import Event, EventKind, EventQueue, Scheduler
+from .events import EventKind, EventQueue, Scheduler
 from .messages import Message
 from .node import NodeState
 from .results import SimulationResults
@@ -263,23 +263,20 @@ class Simulation:
         # contact still open at run end closes at run end.
         queue.attach_contacts(self.source.iter_contacts(), horizon=horizon)
         for demand in PoissonTraffic(self.source.universe, self.config).demands():
-            queue.push(
-                # g2g: allow(G2G012: pre-run queue seeding; EventQueue owns ordering)
-                Event(
-                    time=demand.time,
-                    kind=EventKind.MESSAGE_GENERATION,
-                    traffic=(demand.source, demand.destination),
-                )
-            )
+            queue.push_generation(demand.time, demand.source, demand.destination)
 
         msg_counter = 0
         contact_starts = contact_ends = timer_events = 0
+        CONTACT_START = EventKind.CONTACT_START
+        CONTACT_END = EventKind.CONTACT_END
+        TIMER = EventKind.TIMER
         for event in queue.drain():
             # g2g: allow(G2G012: horizon guard only — ordering (and ties) stay owned by sim/events.py)
             if event.time > horizon:  # defensive: everything is clamped
                 break  # pragma: no cover
             now = event.time
-            if event.kind == EventKind.CONTACT_START:
+            kind = event.kind
+            if kind is CONTACT_START:
                 contact_starts += 1
                 contact = event.contact
                 assert contact is not None
@@ -291,13 +288,13 @@ class Simulation:
                 if ctx.usable_pair(contact.a, contact.b):
                     self.blacklist.on_contact(contact.a, contact.b, now)
                     self.protocol.on_contact_start(contact.a, contact.b, now)
-            elif event.kind == EventKind.CONTACT_END:
+            elif kind is CONTACT_END:
                 contact_ends += 1
                 contact = event.contact
                 assert contact is not None
                 ctx.active_contacts.discard(frozenset((contact.a, contact.b)))
                 self.protocol.on_contact_end(contact.a, contact.b, now)
-            elif event.kind == EventKind.TIMER:
+            elif kind is TIMER:
                 timer_events += 1
                 assert event.timer is not None
                 scheduler.fire(event.timer, now)

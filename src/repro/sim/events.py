@@ -22,7 +22,6 @@ every other event.  This module is the only place in ``sim/``,
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Iterator, List, Optional, Protocol, Tuple
 
@@ -83,19 +82,44 @@ class TimerHandle:
         return f"TimerHandle(t={self.time}, tag={self.tag!r}, {state})"
 
 
-@dataclass(frozen=True)
 class Event:
     """One scheduled simulator event.
 
     Exactly one of ``contact`` / ``traffic`` / ``timer`` is set,
-    matching ``kind``.
+    matching ``kind``.  A plain slotted class: every streamed contact
+    costs two events, so construction is five slot stores.  Events
+    compare by identity; the heap orders them by the
+    ``(time, priority, sequence)`` key beside them.
     """
 
-    time: float
-    kind: EventKind
-    contact: Optional[Contact] = None
-    traffic: Optional[Tuple[NodeId, NodeId]] = None  # (source, destination)
-    timer: Optional[TimerHandle] = None
+    __slots__ = ("time", "kind", "contact", "traffic", "timer")
+
+    def __init__(
+        self,
+        time: float,
+        kind: EventKind,
+        contact: Optional[Contact] = None,
+        traffic: Optional[Tuple[NodeId, NodeId]] = None,  # (source, destination)
+        timer: Optional[TimerHandle] = None,
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.contact = contact
+        self.traffic = traffic
+        self.timer = timer
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Event(t={self.time}, kind={self.kind.name})"
+
+
+_CONTACT_START = EventKind.CONTACT_START
+_CONTACT_END = EventKind.CONTACT_END
+_MESSAGE_GENERATION = EventKind.MESSAGE_GENERATION
+# Heap keys carry each kind's priority as a plain int (what ``push``
+# stores via ``int(event.kind)``).
+_START_KEY = int(_CONTACT_START)
+_END_KEY = int(_CONTACT_END)
+_GENERATION_KEY = int(_MESSAGE_GENERATION)
 
 
 class EventQueue:
@@ -122,6 +146,16 @@ class EventQueue:
         )
         self._sequence += 1
 
+    def push_generation(
+        self, time: float, source: NodeId, destination: NodeId
+    ) -> None:
+        """Schedule the generation of a ``source``→``destination`` message."""
+        heapq.heappush(self._heap, (
+            time, _GENERATION_KEY, self._sequence,
+            Event(time, _MESSAGE_GENERATION, traffic=(source, destination)),
+        ))
+        self._sequence += 1
+
     def push_contact(
         self, contact: Contact, horizon: Optional[float] = None
     ) -> None:
@@ -130,12 +164,25 @@ class EventQueue:
         With a ``horizon``, an end past it is clamped to the horizon:
         a contact still open at run end closes *at* run end instead of
         leaking an event past it (or, worse, never closing at all).
+
+        Both heap entries are built inline — the same keys
+        :meth:`push` would build, start first — with one sequence
+        bump for the pair.
         """
-        end = contact.end if horizon is None else min(contact.end, horizon)
-        self.push(
-            Event(time=contact.start, kind=EventKind.CONTACT_START, contact=contact)
-        )
-        self.push(Event(time=end, kind=EventKind.CONTACT_END, contact=contact))
+        start = contact.start
+        end = contact.end
+        if horizon is not None and horizon < end:
+            end = horizon
+        heap = self._heap
+        heappush = heapq.heappush
+        sequence = self._sequence
+        heappush(heap, (
+            start, _START_KEY, sequence, Event(start, _CONTACT_START, contact)
+        ))
+        heappush(heap, (
+            end, _END_KEY, sequence + 1, Event(end, _CONTACT_END, contact)
+        ))
+        self._sequence = sequence + 2
 
     def attach_contacts(
         self, contacts: Iterator[Contact], horizon: Optional[float] = None

@@ -163,9 +163,22 @@ class StreamModelConfig:
             raise ValueError("stream model needs at least 2 nodes")
         if self.duration <= 0 or self.chunk_seconds <= 0:
             raise ValueError("duration and chunk_seconds must be positive")
+        if self.contacts_per_node < 0:
+            raise ValueError(
+                f"contacts_per_node must be >= 0, got {self.contacts_per_node}"
+            )
+        if self.mean_contact_duration <= 0:
+            raise ValueError(
+                f"mean_contact_duration must be positive, "
+                f"got {self.mean_contact_duration}"
+            )
         if self.leaf_size < 2 or self.branching < 1:
             raise ValueError("leaf_size must be >= 2 and branching >= 1")
-        if not 0.0 <= self.p_leaf + self.p_parent <= 1.0:
+        for name in ("p_leaf", "p_parent"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if self.p_leaf + self.p_parent > 1.0:
             raise ValueError("p_leaf + p_parent must lie in [0, 1]")
 
 
@@ -256,7 +269,7 @@ class SyntheticStreamSource(ContactSource):
             duration = rng.expovariate(rate) + 1.0  # strictly positive
             if a > b:
                 a, b = b, a
-            contacts.append(Contact(start=start, end=start + duration, a=a, b=b))
+            contacts.append(Contact(start, start + duration, a, b))
         return contacts
 
     def iter_chunks(self) -> Iterator[List[Contact]]:

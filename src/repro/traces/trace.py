@@ -21,9 +21,16 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 NodeId = int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Contact:
     """One radio contact between two nodes.
+
+    Slotted, with a hand-written ``__init__``: a streamed trace builds
+    one instance per contact, so construction validates and fills the
+    four slots through their member descriptors instead of paying the
+    frozen dataclass ``__init__`` (one ``object.__setattr__`` per
+    field).  Equality, ordering, hashing, immutability and pickling
+    are the dataclass-generated ones.
 
     Attributes:
         start: time the devices came into range (seconds).
@@ -37,14 +44,18 @@ class Contact:
     a: NodeId
     b: NodeId
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"self-contact for node {self.a}")
-        if self.end <= self.start:
+    def __init__(self, start: float, end: float, a: NodeId, b: NodeId) -> None:
+        if a == b:
+            raise ValueError(f"self-contact for node {a}")
+        if end <= start:
             raise ValueError(
                 f"contact must have positive duration "
-                f"(start={self.start}, end={self.end})"
+                f"(start={start}, end={end})"
             )
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_a(self, a)
+        _set_b(self, b)
 
     @property
     def duration(self) -> float:
@@ -75,6 +86,13 @@ class Contact:
     def overlaps(self, start: float, end: float) -> bool:
         """True if the contact intersects the half-open window [start, end)."""
         return self.start < end and self.end > start
+
+
+# The slots' member descriptors write past the frozen ``__setattr__``.
+_set_start = Contact.__dict__["start"].__set__
+_set_end = Contact.__dict__["end"].__set__
+_set_a = Contact.__dict__["a"].__set__
+_set_b = Contact.__dict__["b"].__set__
 
 
 def make_contact(a: NodeId, b: NodeId, start: float, end: float) -> Contact:

@@ -2,6 +2,8 @@
 
 from itertools import permutations
 
+import pytest
+
 from repro.perf.counters import COUNTERS
 from repro.sim.eventlog import EventLog, EventType
 from repro.sim.events import Event, EventKind, EventQueue, Scheduler, TimerHandle
@@ -53,10 +55,105 @@ class TestOrdering:
         assert q
 
     def test_pop_empty_raises(self):
-        import pytest
-
         with pytest.raises(IndexError):
             EventQueue().pop()
+
+
+class TestEventSlots:
+    """Every streamed contact costs two events: no per-instance dict."""
+
+    def test_no_dict_and_no_ad_hoc_attributes(self):
+        event = Event(time=1.0, kind=EventKind.MESSAGE_GENERATION, traffic=(0, 1))
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(AttributeError):
+            event.ad_hoc = 1
+
+    def test_constructor_defaults_and_positional_order(self):
+        contact = make_contact(0, 1, 2.0, 3.0)
+        event = Event(2.0, EventKind.CONTACT_START, contact)
+        assert (event.time, event.kind, event.contact) == (
+            2.0, EventKind.CONTACT_START, contact,
+        )
+        assert event.traffic is None and event.timer is None
+
+    def test_push_contact_builds_start_and_clamped_end(self):
+        q = EventQueue()
+        contact = make_contact(3, 4, 5.0, 50.0)
+        q.push_contact(contact, horizon=20.0)
+        start, end = q.drain()
+        assert (start.time, start.kind, start.contact) == (
+            5.0, EventKind.CONTACT_START, contact,
+        )
+        assert (end.time, end.kind, end.contact) == (
+            20.0, EventKind.CONTACT_END, contact,
+        )
+
+    def test_push_generation_matches_push(self):
+        seeded, pushed = EventQueue(), EventQueue()
+        for q in (seeded, pushed):
+            q.push_contact(make_contact(0, 1, 4.0, 6.0))
+        seeded.push_generation(4.0, 2, 3)
+        pushed.push(Event(time=4.0, kind=EventKind.MESSAGE_GENERATION, traffic=(2, 3)))
+        assert _drained(seeded) == _drained(pushed)
+
+
+def _drained(queue):
+    """The drain order of ``queue`` as comparable tuples."""
+    return [
+        (e.time, e.kind, e.contact, e.traffic, e.timer and e.timer.tag)
+        for e in queue.drain()
+    ]
+
+
+class TestStreamFeedMatchesBulkLoad:
+    """A contact fed through ``attach_contacts`` drains like a bulk push."""
+
+    HORIZON = 25.0
+    # Ties at t=10 (one pair's end and next start, a third pair's
+    # start) and t=15 (two ends, one start), an end past the horizon
+    # and a start at it (never fed).
+    CONTACTS = [
+        make_contact(0, 1, 0.0, 10.0),
+        make_contact(0, 1, 10.0, 15.0),
+        make_contact(2, 3, 10.0, 15.0),
+        make_contact(1, 2, 15.0, 30.0),
+        make_contact(0, 3, 15.0, 15.5),
+        make_contact(4, 5, 25.0, 26.0),
+    ]
+
+    def _queue(self, stream):
+        sched = Scheduler(EventQueue(), horizon=self.HORIZON)
+        q = sched.queue
+        if stream:
+            q.attach_contacts(iter(self.CONTACTS), horizon=self.HORIZON)
+        else:
+            for contact in self.CONTACTS:
+                if contact.start < self.HORIZON:
+                    q.push_contact(contact, horizon=self.HORIZON)
+        for time, tag in ((15.0, "t15"), (10.0, "t10a"), (10.0, "t10b")):
+            sched.schedule(time, tag)
+        for time, pair in ((10.0, (0, 1)), (15.0, (2, 3)), (10.0, (1, 2))):
+            q.push_generation(time, *pair)
+        return q
+
+    def test_same_drain_order_with_same_instant_ties(self):
+        bulk = _drained(self._queue(stream=False))
+        fed = _drained(self._queue(stream=True))
+        assert fed == bulk
+        at_ten = [(kind, traffic, tag) for t, kind, _, traffic, tag in fed if t == 10.0]
+        assert at_ten == [
+            (EventKind.CONTACT_END, None, None),
+            (EventKind.CONTACT_START, None, None),
+            (EventKind.CONTACT_START, None, None),
+            (EventKind.MESSAGE_GENERATION, (0, 1), None),
+            (EventKind.MESSAGE_GENERATION, (1, 2), None),
+            (EventKind.TIMER, None, "t10a"),
+            (EventKind.TIMER, None, "t10b"),
+        ]
+        starts_at_ten = [c for t, k, c, _, _ in fed if t == 10.0 and c is not None]
+        assert starts_at_ten[1:] == self.CONTACTS[1:3]  # stream order kept
+        assert fed[-1][:2] == (self.HORIZON, EventKind.CONTACT_END)
+        assert all(c != self.CONTACTS[-1] for _, _, c, _, _ in fed)
 
 
 def _event_of_kind(kind, time):

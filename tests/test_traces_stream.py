@@ -145,6 +145,30 @@ class TestSyntheticStreamSource:
         with pytest.raises(ValueError):
             StreamModelConfig(p_leaf=0.9, p_parent=0.2)
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("mean_contact_duration", {"mean_contact_duration": 0.0}),
+            ("mean_contact_duration", {"mean_contact_duration": -5.0}),
+            ("contacts_per_node", {"contacts_per_node": -1.0}),
+            ("p_leaf", {"p_leaf": -0.5, "p_parent": 1.0}),
+            ("p_parent", {"p_leaf": 1.0, "p_parent": -0.5}),
+            ("p_leaf", {"p_leaf": 1.5, "p_parent": 0.0}),
+        ],
+    )
+    def test_bad_model_rejected_at_construction(self, field, kwargs):
+        # Each used to fail late (a ZeroDivisionError or an unrelated
+        # Contact error inside the chunk generator) or not at all (a
+        # negative rate silently streamed nothing).
+        with pytest.raises(ValueError, match=field):
+            StreamModelConfig(**kwargs)
+
+    def test_zero_contacts_per_node_streams_nothing(self):
+        source = SyntheticStreamSource(StreamModelConfig(
+            nodes=100, duration=600.0, contacts_per_node=0.0
+        ))
+        assert list(source.iter_contacts()) == []
+
 
 class TestChunkedFileFormat:
     def test_round_trip_preserves_chunks(self, tmp_path, trace):

@@ -1,5 +1,9 @@
 """Tests for the contact-trace data model."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +53,73 @@ class TestContact:
 
     def test_pair(self):
         assert make_contact(4, 2, 0.0, 1.0).pair == frozenset((2, 4))
+
+
+class TestContactSlots:
+    """A streamed trace builds one Contact per contact: no per-instance dict."""
+
+    def test_no_dict_and_no_ad_hoc_attributes(self):
+        c = make_contact(0, 1, 0.0, 1.0)
+        assert not hasattr(c, "__dict__")
+        # The frozen ``__setattr__`` of a slotted dataclass raises
+        # TypeError for a non-field name before Python 3.12.
+        with pytest.raises((AttributeError, TypeError)):
+            c.ad_hoc = 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(c, "ad_hoc", 1)
+
+    def test_fields_are_immutable(self):
+        c = make_contact(0, 1, 0.0, 1.0)
+        for name in ("start", "end", "a", "b"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(c, name, 5)
+        assert (c.start, c.end, c.a, c.b) == (0.0, 1.0, 0, 1)
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Contact(2.0, 3.0, 4, 7) == Contact(start=2.0, end=3.0, a=4, b=7)
+        assert [f.name for f in dataclasses.fields(Contact)] == [
+            "start", "end", "a", "b",
+        ]
+
+    def test_eq_and_hash_are_the_field_tuple(self):
+        c = make_contact(9, 4, 1.5, 2.5)
+        assert c == Contact(start=1.5, end=2.5, a=4, b=9)
+        assert c != Contact(start=1.5, end=2.5, a=4, b=8)
+        assert c != (1.5, 2.5, 4, 9)
+        # The dataclass hash: sets of contacts iterate as before.
+        assert hash(c) == hash((1.5, 2.5, 4, 9))
+        assert len({c, make_contact(4, 9, 1.5, 2.5)}) == 1
+
+    def test_order_is_start_end_a_b(self):
+        contacts = [
+            make_contact(0, 1, 5.0, 6.0),
+            make_contact(2, 3, 1.0, 9.0),
+            make_contact(0, 2, 1.0, 9.0),
+            make_contact(0, 1, 1.0, 2.0),
+        ]
+        assert [(c.start, c.end, c.a, c.b) for c in sorted(contacts)] == [
+            (1.0, 2.0, 0, 1),
+            (1.0, 9.0, 0, 2),
+            (1.0, 9.0, 2, 3),
+            (5.0, 6.0, 0, 1),
+        ]
+        assert contacts[3] < contacts[0] and contacts[0] >= contacts[1]
+
+    def test_pickle_and_copy_round_trip(self):
+        c = make_contact(3, 8, 10.0, 12.5)
+        for restored in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert restored == c and hash(restored) == hash(c)
+            assert not hasattr(restored, "__dict__")
+
+    def test_validation_holds_for_every_constructor_path(self):
+        with pytest.raises(ValueError, match="self-contact"):
+            Contact(0.0, 1.0, 2, 2)
+        with pytest.raises(ValueError, match="positive duration"):
+            Contact(start=1.0, end=1.0, a=0, b=1)
+        c = make_contact(0, 1, 0.0, 1.0)
+        with pytest.raises(ValueError, match="positive duration"):
+            dataclasses.replace(c, end=0.0)
+        assert dataclasses.replace(c, end=4.0).duration == 4.0
 
 
 class TestContactTrace:
